@@ -83,22 +83,28 @@ class BetheSystem:
         if label in self._bases:
             return self._bases[label]
         idx = np.array(self._sectors[label])
-        z1, z2 = self._basis_zetas
-        b = self.fam.q_op(1, z1)[np.ix_(idx, idx)]
-        if self.fam.l >= 1:
-            b = b + self._gamma * self.fam.q_op(2, z2)[np.ix_(idx, idx)]
+
+        def block(a: int, zeta: float) -> np.ndarray:
+            return self.fam.q_op(a, zeta)[np.ix_(idx, idx)]
+
+        ops = range(1, self.fam.l + 2)
+        # A generic combination of every Q_a: on a sector where some Q_a is
+        # scalar (zero occupation k_a), the others still split the spectrum.
+        zs = self._basis_zetas
+        b = sum(self._gamma ** (a - 1) * block(a, zs[(a - 1) % len(zs)])
+                for a in ops)
         _, vecs = np.linalg.eig(b)
         vinv = np.linalg.inv(vecs)
         # The basis must diagonalize members of the family it was not built
         # from; a failure here means degenerate spectra on this sector.
-        probe = self.fam.q_op(1, self._check_zeta)[np.ix_(idx, idx)]
-        d = vinv @ probe @ vecs
-        off = np.max(np.abs(d - np.diag(np.diag(d))))
-        if off > self._diag_tol * max(1.0, np.max(np.abs(d))):
-            raise ArithmeticError(
-                "sector %s eigenbasis does not diagonalize the family "
-                "(off-diagonal %.2e)" % (label.k, off)
-            )
+        for a in ops:
+            d = vinv @ block(a, self._check_zeta) @ vecs
+            off = np.max(np.abs(d - np.diag(np.diag(d))))
+            if off > self._diag_tol * max(1.0, np.max(np.abs(d))):
+                raise ArithmeticError(
+                    "sector %s eigenbasis does not diagonalize Q_%d "
+                    "(off-diagonal %.2e)" % (label.k, a, off)
+                )
         self._bases[label] = (idx, vecs, vinv)
         return self._bases[label]
 

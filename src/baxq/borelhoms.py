@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .oscalg import OscExpr
-from .qnum import ExpKey, QContext
+from .qnum import QContext
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,16 @@ def _base_e_image(j: int, l: int, ctx: QContext) -> OscExpr:
     """Image of e_j under the base realization (a = l+1)."""
     if j == 0:
         # bdag_1 q^{N_2 + ... + N_l}
-        spec = {1: (1, 0, ExpKey.of(0))}
+        spec = {1: (1, 0, 0)}
         for k in range(2, l + 1):
-            spec[k] = (0, 0, ExpKey.of(1))
+            spec[k] = (0, 0, 1)
         return OscExpr.monomial(l, spec)
     if j == l:
         # -kappa^{-1} b_l q^{N_l}
-        spec = {l: (0, 1, ExpKey.of(1))}
+        spec = {l: (0, 1, 1)}
         return OscExpr.monomial(l, spec, -1.0 / ctx.kappa)
     # -b_j bdag_{j+1} q^{N_j - N_{j+1} - 1}
-    spec = {j: (0, 1, ExpKey.of(1)), j + 1: (1, 0, ExpKey.of(-1))}
+    spec = {j: (0, 1, 1), j + 1: (1, 0, -1)}
     return OscExpr.monomial(l, spec, -ctx.qpow(-1))
 
 
@@ -77,7 +77,7 @@ def o_image(kind: str, i: int, nu, a: int, l: int, ctx: QContext) -> OscExpr:
     if kind == "h":
         nu = Fraction(nu)
         pattern = _h_pattern(j, l)
-        return OscExpr.q_exponent(l, [ExpKey.of(nu * c) for c in pattern])
+        return OscExpr.q_exponent(l, [nu * c for c in pattern])
     raise ValueError("kind must be 'e' or 'h'")
 
 
@@ -88,35 +88,36 @@ def twist_coefficients(l: int) -> list:
     Cartan generators through the inverse Cartan matrix,
     theta_j = sum_i c_ij t_i = sum_{m<=j} tau_m - (j/(l+1)) sum_m tau_m,
     which is exactly what makes the shift identities behind the functional
-    relations close.  Each theta_j is returned as an exact twist-linear
-    exponent key.
+    relations close.  Each theta_j is returned as its exact coefficient list
+    over tau_1..tau_{l+1}.
     """
-    out = []
-    for j in range(1, l + 1):
-        coeffs = [
-            Fraction(l + 1 - j, l + 1) if m <= j else Fraction(-j, l + 1)
-            for m in range(1, l + 2)
-        ]
-        out.append(ExpKey.of(0, coeffs))
-    return out
+    return [
+        [Fraction(l + 1 - j, l + 1) if m <= j else Fraction(-j, l + 1)
+         for m in range(1, l + 2)]
+        for j in range(1, l + 1)
+    ]
 
 
-def twist_diagonal(a: int, twist: TwistConfig, ctx: QContext) -> OscExpr:
-    """Image under realization a of the twist exponential.
+def twist_diagonal(a: int, twist: TwistConfig, ctx: QContext) -> list:
+    """Image under realization a of the twist exponential, as shifts.
 
-    The exponents are kept twist-symbolic (linear in tau) so the traces
-    downstream can detect poles exactly.
+    The image is prod_k q^{E_k N_k}; the returned list holds the numeric
+    exponents E_k = sum_j theta_j * pattern_j[k] at the twist's tau, for
+    `trace_exact` to add to each mode.  The coefficients over tau are summed
+    exactly before the single numeric evaluation.
     """
     l = twist.l
     theta = twist_coefficients(l)
-    exps = [ExpKey.of(0) for _ in range(l)]
+    coeffs = [[Fraction(0)] * (l + 1) for _ in range(l)]
     for i in range(1, l + 1):
         j = (i - a) % (l + 1)
         pattern = _h_pattern(j, l)
         for k in range(l):
             if pattern[k]:
-                exps[k] = exps[k] + theta[i - 1] * pattern[k]
-    return OscExpr.q_exponent(l, exps)
+                coeffs[k] = [c + t * pattern[k]
+                             for c, t in zip(coeffs[k], theta[i - 1])]
+    return [sum(float(c) * twist.tau[m] for m, c in enumerate(row) if c)
+            for row in coeffs]
 
 
 def module_signs(a: int, l: int) -> tuple:

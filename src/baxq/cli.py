@@ -21,7 +21,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .fundrep import yang_baxter_residual
 from .lop import GradingConfig, build_L
 from .lweight import check_shifted_product, conjectured_xi
 from .qnum import QContext
-from .qop import QFamily, SectorLabel, save_matrix, sectors
+from .qop import QFamily, save_matrix, sectors
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("relations", "bethe", "lweights")
@@ -302,11 +302,8 @@ def _dump_l_json(config: RunConfig) -> dict:
                 {
                     "coeff": [c.real, c.imag],
                     "modes": [
-                        {"mode": m + 1, "bdag": t[0], "b": t[1],
-                         "exp": t[2].to_json()}
-                        for m, t in enumerate(key)
-                        if t[0] or t[1] or not t[2].is_constant()
-                        or t[2].const != 0
+                        {"mode": m + 1, "bdag": t[0], "b": t[1], "exp": t[2]}
+                        for m, t in enumerate(key) if any(t)
                     ],
                 }
                 for key, c in expr.terms

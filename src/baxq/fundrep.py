@@ -12,7 +12,6 @@ formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -138,7 +137,9 @@ def solve_intertwiner(rep1: FundRep, rep2: FundRep,
         #                (Y R).flat = (Y kron I) R.flat
         blocks.append(np.kron(eye, dl.T) - np.kron(dr, eye))
     m = np.vstack(blocks)
-    _, sv, vh = np.linalg.svd(m)
+    # Only vh is used; with more rows than columns the reduced SVD has the
+    # same singular values and vh, without the large unused U.
+    _, sv, vh = np.linalg.svd(m, full_matrices=False)
     small = sv < rtol * sv[0]
     nullity = int(np.count_nonzero(small)) + (m.shape[1] - len(sv))
     vec = vh[-1].conj()

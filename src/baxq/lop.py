@@ -13,12 +13,12 @@ it serves as an independent cross-check of `build_L`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .oscalg import OscExpr, multiply
-from .qnum import ExpKey, QContext
+from .qnum import QContext
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,9 @@ def build_L(zeta: complex, grading: GradingConfig, ctx: QContext) -> LOperator:
             coeff = kappa * zeta ** grading.partial(j, i) * ctx.qpow(i - j - 2)
             m[i - 1][j - 1] = OscExpr.monomial(
                 l,
-                {j: (0, 1, ExpKey.of(exps[j - 1])),
-                 i: (1, 0, ExpKey.of(exps[i - 1])),
-                 **{k: (0, 0, ExpKey.of(exps[k - 1]))
+                {j: (0, 1, exps[j - 1]),
+                 i: (1, 0, exps[i - 1]),
+                 **{k: (0, 0, exps[k - 1])
                     for k in range(j + 1, i)}},
                 coeff,
             )
@@ -125,8 +125,8 @@ def build_L(zeta: complex, grading: GradingConfig, ctx: QContext) -> LOperator:
         coeff = zeta ** grading.partial(j, l + 1) * ctx.qpow(l - j)
         m[l][j - 1] = OscExpr.monomial(
             l,
-            {k: ((0, 1, ExpKey.of(exps[k - 1])) if k == j
-                 else (0, 0, ExpKey.of(exps[k - 1])))
+            {k: ((0, 1, exps[k - 1]) if k == j
+                 else (0, 0, exps[k - 1]))
              for k in range(j, l + 1)},
             coeff,
         )
@@ -138,14 +138,14 @@ def build_L(zeta: complex, grading: GradingConfig, ctx: QContext) -> LOperator:
                  * ctx.qpow(i - 2))
         m[i - 1][l] = OscExpr.monomial(
             l,
-            {k: ((1, 0, ExpKey.of(exps[k - 1])) if k == i
-                 else (0, 0, ExpKey.of(exps[k - 1])))
+            {k: ((1, 0, exps[k - 1]) if k == i
+                 else (0, 0, exps[k - 1]))
              for k in range(1, i + 1)},
             coeff,
         )
     # Diagonal.
     for i in range(1, l + 1):
-        m[i - 1][i - 1] = OscExpr.monomial(l, {i: (0, 0, ExpKey.of(1))})
+        m[i - 1][i - 1] = OscExpr.monomial(l, {i: (0, 0, 1)})
     m[l][l] = (
         OscExpr.q_exponent(l, [-1] * l)
         + OscExpr.q_exponent(l, [1] * l,
@@ -224,9 +224,9 @@ def build_L_factored_oracle(zeta: complex, grading: GradingConfig,
                          * ctx.qpow(j - i - 2))
                 f[j - 1][i - 1] = OscExpr.monomial(
                     l,
-                    {i: (0, 1, ExpKey.of(exps[i - 1])),
-                     j: (1, 0, ExpKey.of(exps[j - 1])),
-                     **{k: (0, 0, ExpKey.of(exps[k - 1]))
+                    {i: (0, 1, exps[i - 1]),
+                     j: (1, 0, exps[j - 1]),
+                     **{k: (0, 0, exps[k - 1])
                         for k in range(i + 1, j)}},
                     coeff,
                 )
@@ -235,8 +235,8 @@ def build_L_factored_oracle(zeta: complex, grading: GradingConfig,
                 coeff = zeta ** grading.partial(i, l + 1) * ctx.qpow(l - i)
                 f[l][i - 1] = OscExpr.monomial(
                     l,
-                    {k: ((0, 1, ExpKey.of(exps[k - 1])) if k == i
-                         else (0, 0, ExpKey.of(exps[k - 1])))
+                    {k: ((0, 1, exps[k - 1]) if k == i
+                         else (0, 0, exps[k - 1]))
                      for k in range(i, l + 1)},
                     coeff,
                 )
@@ -255,8 +255,8 @@ def build_L_factored_oracle(zeta: complex, grading: GradingConfig,
                  * ctx.qpow(-i))
         shell[i - 1][l] = OscExpr.monomial(
             l,
-            {k: ((1, 0, ExpKey.of(exps[k - 1])) if k == i
-                 else (0, 0, ExpKey.of(exps[k - 1])))
+            {k: ((1, 0, exps[k - 1]) if k == i
+                 else (0, 0, exps[k - 1]))
              for k in range(i, l + 1)},
             coeff,
         )
@@ -264,7 +264,7 @@ def build_L_factored_oracle(zeta: complex, grading: GradingConfig,
     # Cartan-like diagonal.
     cart = _zero_matrix(l)
     for i in range(1, l + 1):
-        cart[i - 1][i - 1] = OscExpr.monomial(l, {i: (0, 0, ExpKey.of(1))})
+        cart[i - 1][i - 1] = OscExpr.monomial(l, {i: (0, 0, 1)})
     cart[l][l] = OscExpr.q_exponent(l, [-1] * l)
     factors.append(cart)
 

@@ -4,32 +4,31 @@ An expression is a finite sum of normal-ordered monomials
 
     c * prod_k  bdag_k^{alpha_k}  b_k^{beta_k}  q^{E_k N_k}
 
-over independent modes k = 1..l.  The exponents E_k are exact ExpKeys
-(rational + twist-linear), the coefficients c are complex doubles.  Products
-are normal-ordered on the fly via the exchange relation
+over independent modes k = 1..l.  The exponents E_k are plain numbers
+(integers for every library-built expression), the coefficients c are
+complex doubles.  Products are normal-ordered on the fly via the exchange
+relation
 
     b bdag = (q q^N - q^{-1} q^{-N}) / (q - q^{-1}),
 
 and graded traces over the level-raising/lowering Fock modules reduce to
 closed-form geometric sums, so no Fock-space truncation is involved.  A
+numeric per-mode exponent shift (the twist) may be applied at the trace.  A
 truncated matrix realization is provided separately as a numerical oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qnum import ExpKey, QContext
+from .qnum import QContext
 
-# A per-mode monomial label: (alpha, beta, ExpKey).
-ModeKey = Tuple[int, int, ExpKey]
+# A per-mode monomial label: (alpha, beta, exponent E of q^{E N}).
+ModeKey = Tuple[int, int, object]
 # A full monomial label: one ModeKey per mode.
 MonoKey = Tuple[ModeKey, ...]
-
-_ZERO_KEY = ExpKey()
 
 
 class TracePoleError(ArithmeticError):
@@ -37,7 +36,7 @@ class TracePoleError(ArithmeticError):
 
 
 def _mode_unit() -> ModeKey:
-    return (0, 0, _ZERO_KEY)
+    return (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -45,17 +44,13 @@ class OscExpr:
     """A sum of normal-ordered monomials over `modes` oscillator modes."""
 
     modes: int
-    terms: tuple  # tuple of (MonoKey, complex) pairs, canonically sorted
+    terms: tuple  # tuple of (MonoKey, complex) pairs, in insertion order
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_dict(cls, modes: int, d: Dict[MonoKey, complex]) -> "OscExpr":
-        items = tuple(sorted(
-            ((k, complex(v)) for k, v in d.items() if v != 0),
-            key=lambda kv: repr(kv[0]),
-        ))
-        return cls(modes, items)
+        return cls(modes, tuple((k, complex(v)) for k, v in d.items() if v != 0))
 
     @classmethod
     def zero(cls, modes: int) -> "OscExpr":
@@ -69,19 +64,14 @@ class OscExpr:
     def monomial(cls, modes: int, spec: Dict[int, ModeKey],
                  coeff: complex = 1.0) -> "OscExpr":
         """Single monomial; `spec` maps 1-based mode index to (a, b, E)."""
-        key = []
-        for k in range(1, modes + 1):
-            a, b, e = spec.get(k, _mode_unit())
-            key.append((a, b, e if isinstance(e, ExpKey) else ExpKey.of(e)))
-        return cls.from_dict(modes, {tuple(key): coeff})
+        key = tuple(spec.get(k, _mode_unit()) for k in range(1, modes + 1))
+        return cls.from_dict(modes, {key: coeff})
 
     @classmethod
     def q_exponent(cls, modes: int, exps: Sequence, coeff: complex = 1.0) -> "OscExpr":
         """prod_k q^{exps[k-1] N_k} as a single monomial."""
-        key = tuple(
-            (0, 0, e if isinstance(e, ExpKey) else ExpKey.of(e)) for e in exps
-        )
-        return cls.from_dict(modes, {tuple(key): coeff})
+        key = tuple((0, 0, e) for e in exps)
+        return cls.from_dict(modes, {key: coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -147,7 +137,7 @@ def _mode_product(m1: ModeKey, m2: ModeKey, ctx: QContext) -> list:
     a1, b1, e1 = m1
     a2, b2, e2 = m2
     # Move q^{e1 N} through bdag^{a2} b^{b2}: picks up q^{e1 (a2 - b2)}.
-    phase = ctx.qpow(e1.value(ctx) * (a2 - b2)) if (a2 or b2) else 1.0
+    phase = ctx.qpow(e1 * (a2 - b2)) if (a2 or b2) else 1.0
     esum = e1 + e2
     out = []
     for a, b, m, c in _normal_order(b1, a2, ctx):
@@ -177,17 +167,11 @@ def multiply(x: OscExpr, y: OscExpr, ctx: QContext) -> OscExpr:
     return OscExpr.from_dict(x.modes, acc).prune(ctx)
 
 
-def multiply_many(exprs: Sequence[OscExpr], ctx: QContext) -> OscExpr:
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = multiply(out, e, ctx)
-    return out
-
-
 # -- exact graded traces ---------------------------------------------------
 
-def _mode_trace(mode: ModeKey, sign: int, ctx: QContext) -> complex:
-    """Graded trace of bdag^a b^b q^{EN} over one Fock module.
+def _mode_trace(mode: ModeKey, sign: int, shift: float,
+                ctx: QContext) -> complex:
+    """Graded trace of bdag^a b^b q^{(E + shift) N} over one Fock module.
 
     `sign` is +1 for the raising-type module and -1 for the lowering-type
     one (whose trace is the negative of the other).  Off-diagonal powers
@@ -206,27 +190,36 @@ def _mode_trace(mode: ModeKey, sign: int, ctx: QContext) -> complex:
             nxt[m + 1] = nxt.get(m + 1, 0.0) + c / (qj * ctx.kappa)
             nxt[m - 1] = nxt.get(m - 1, 0.0) - c * qj / ctx.kappa
         shifts = nxt
-    ev = e.value(ctx)
+    ev = e + shift
     total = 0.0 + 0j
     for m, c in shifts.items():
         pole = 1.0 - ctx.qpow(ev + m)
         if abs(pole) < ctx.tolerance:
             raise TracePoleError(
-                "trace pole at exponent %r + %d" % (e, m)
+                "trace pole at exponent %r + %r + %d" % (e, shift, m)
             )
         total += c / pole
     return sign * total
 
 
-def trace_exact(x: OscExpr, signs: Sequence[int], ctx: QContext) -> complex:
-    """Graded trace over a product of Fock modules, one sign per mode."""
+def trace_exact(x: OscExpr, signs: Sequence[int], ctx: QContext,
+                shifts: Optional[Sequence[float]] = None) -> complex:
+    """Graded trace over a product of Fock modules, one sign per mode.
+
+    `shifts`, if given, adds a numeric exponent to each mode: the result is
+    the trace of x * prod_k q^{shifts[k-1] N_k}.
+    """
     if len(signs) != x.modes:
         raise ValueError("need one module sign per mode")
+    if shifts is None:
+        shifts = (0,) * x.modes
+    elif len(shifts) != x.modes:
+        raise ValueError("need one exponent shift per mode")
     total = 0.0 + 0j
     for key, c in x.terms:
         val = c
-        for mode, s in zip(key, signs):
-            val *= _mode_trace(mode, s, ctx)
+        for mode, s, sh in zip(key, signs, shifts):
+            val *= _mode_trace(mode, s, sh, ctx)
             if val == 0:
                 break
         total += val
@@ -281,7 +274,7 @@ class TruncatedFock:
 
     def mono_matrix(self, mode: ModeKey) -> np.ndarray:
         a, b, e = mode
-        m = self.q_n(e.value(self.ctx))
+        m = self.q_n(e)
         bop = self.b()
         for _ in range(b):
             m = bop @ m

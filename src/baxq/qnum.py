@@ -1,21 +1,15 @@
-"""Deformation-parameter arithmetic: q-numbers, exact exponent keys, series.
+"""Deformation-parameter arithmetic: q-numbers and series.
 
 Everything downstream works with powers of a fixed deformation parameter q.
-Exponents are kept exact (as rational combinations of 1 and the twist
-parameters tau_1..tau_{l+1}) until the moment a complex number is needed,
-which keeps symbolic cancellations exact instead of approximate.
+Symbolic exponents are plain numbers (integers wherever the library builds
+them); the twist enters numerically, as per-mode shifts at the trace.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Union[int, Fraction]
-
-_F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -27,8 +21,9 @@ class QContext:
             default regime is real with 0 < q < 1).
         tolerance: Relative threshold used when pruning symbolic expressions
             and when screening traces for poles.
-        tau: Numeric values of the twist parameters tau_1..tau_{l+1}; used to
-            evaluate exponent keys that carry twist dependence.
+        tau: Numeric values of the twist parameters tau_1..tau_{l+1}, kept
+            for callers that record them; the Q builds read the twist from
+            `TwistConfig`.
     """
 
     q: complex = 0.7
@@ -50,92 +45,9 @@ class QContext:
         return self.q ** nu
 
 
-@dataclass(frozen=True)
-class ExpKey:
-    """Exact exponent of q: const + sum_a taus[a] * tau_{a+1}.
-
-    Coefficients are rational; trailing zero twist coefficients are trimmed
-    so that equal exponents always hash equally.
-    """
-
-    const: Fraction = _F0
-    taus: tuple = ()
-
-    def __post_init__(self):
-        const = Fraction(self.const)
-        taus = tuple(Fraction(c) for c in self.taus)
-        while taus and taus[-1] == 0:
-            taus = taus[:-1]
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "taus", taus)
-
-    @classmethod
-    def of(cls, const: Rational = 0, taus: Sequence[Rational] = ()) -> "ExpKey":
-        return cls(Fraction(const), tuple(Fraction(c) for c in taus))
-
-    def __add__(self, other) -> "ExpKey":
-        if isinstance(other, (int, Fraction)):
-            return ExpKey(self.const + other, self.taus)
-        n = max(len(self.taus), len(other.taus))
-        a = self.taus + (_F0,) * (n - len(self.taus))
-        b = other.taus + (_F0,) * (n - len(other.taus))
-        return ExpKey(self.const + other.const, tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExpKey":
-        return ExpKey(-self.const, tuple(-c for c in self.taus))
-
-    def __sub__(self, other) -> "ExpKey":
-        if isinstance(other, (int, Fraction)):
-            return ExpKey(self.const - other, self.taus)
-        return self + (-other)
-
-    def __mul__(self, c: Rational) -> "ExpKey":
-        c = Fraction(c)
-        return ExpKey(self.const * c, tuple(x * c for x in self.taus))
-
-    __rmul__ = __mul__
-
-    def is_constant(self) -> bool:
-        return not self.taus
-
-    def value(self, ctx: QContext) -> float:
-        """Numeric value of the exponent under the context's twist."""
-        v = float(self.const)
-        if self.taus:
-            if len(self.taus) > len(ctx.tau):
-                raise ValueError(
-                    "exponent involves tau_%d but context provides only %d "
-                    "twist values" % (len(self.taus), len(ctx.tau))
-                )
-            v += sum(float(c) * ctx.tau[i] for i, c in enumerate(self.taus) if c)
-        return v
-
-    def to_json(self) -> dict:
-        return {
-            "const": [self.const.numerator, self.const.denominator],
-            "taus": [[c.numerator, c.denominator] for c in self.taus],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ExpKey":
-        return cls(
-            Fraction(*d["const"]), tuple(Fraction(*c) for c in d["taus"])
-        )
-
-
 def q_number(nu, ctx: QContext) -> complex:
     """[nu]_q = (q^nu - q^-nu) / (q - q^-1)."""
     return (ctx.qpow(nu) - ctx.qpow(-nu)) / ctx.kappa
-
-
-def q_factorial_numbers(alpha: int, nu0, ctx: QContext) -> complex:
-    """Product [nu0]_q [nu0-1]_q ... [nu0-alpha+1]_q."""
-    out = 1.0 + 0j
-    for j in range(alpha):
-        out *= q_number(nu0 - j, ctx)
-    return out
 
 
 def f_series(rank_plus_one: int, z: complex, ctx: QContext,

@@ -4,9 +4,10 @@ The chain Hilbert space is (C^{l+1})^(x n), flattened row-major with site 1
 as the leftmost tensor factor.  The a-th Baxter operator is the graded trace
 over the a-th oscillator module family of the monodromy built from the
 rotated Lax matrices (site-n factor leftmost), times the oscillator image of
-the twist exponential, finally dressed with a sector-diagonal power of the
-spectral parameter.  Operators with different a and different spectral
-parameters all commute, which the tests verify.
+the twist exponential (applied as numeric exponent shifts at the trace),
+finally dressed with a sector-diagonal power of the spectral parameter.
+Operators with different a and different spectral parameters all commute,
+which the tests verify.
 
 Determinants of shifted Baxter operators (generalized Q-functions) feed the
 functional relations in `funcrel`.
@@ -63,14 +64,6 @@ def sectors(l: int, n: int) -> Dict[SectorLabel, list]:
     return out
 
 
-@dataclass(frozen=True)
-class DressedExponent:
-    """Sector eigenvalue of the zeta-power dressing of operator a."""
-
-    a: int
-    value: float
-
-
 def dressing_exponent(a: int, label: SectorLabel, twist: TwistConfig,
                       grading: GradingConfig) -> float:
     """D_{a,k}: the power of zeta multiplying sector k of operator a.
@@ -100,28 +93,53 @@ def monodromy_entry(lop: LOperator, row_state: Sequence[int],
     return expr
 
 
+def _walk(site: int, expr, row: int, col: int, weight: int, excess: list,
+          env: tuple) -> None:
+    """Fill Q' entries for every in-sector (row, col) pair extending a suffix.
+
+    `expr` is the monodromy product over sites site+1..n-1 (None before the
+    first), `row`/`col` their partial state indices and `excess` the row
+    minus column occupation counts so far.  Each site can cancel at most two
+    units of excess, so a branch stops once the remaining sites cannot make
+    row and column one sector, or once the product vanishes.  `env` holds
+    (Lax entries, output matrix, module signs, twist shifts, context).
+    """
+    entries, out, signs, shifts, ctx = env
+    dim = len(entries)
+    for i in range(dim):
+        excess[i] += 1
+        for j in range(dim):
+            factor = entries[i][j]
+            if not factor.terms:
+                continue
+            excess[j] -= 1
+            if sum(map(abs, excess)) <= 2 * site:
+                prod = factor if expr is None else multiply(expr, factor, ctx)
+                if prod.terms:
+                    r, c = row + i * weight, col + j * weight
+                    if site == 0:
+                        out[r, c] = trace_exact(prod, signs, ctx, shifts)
+                    else:
+                        _walk(site - 1, prod, r, c, weight * dim, excess, env)
+            excess[j] += 1
+        excess[i] -= 1
+
+
 def q_prime(a: int, zeta: complex, n: int, twist: TwistConfig,
             grading: GradingConfig, ctx: QContext) -> np.ndarray:
-    """Undressed Baxter operator: graded trace of monodromy times twist."""
+    """Undressed Baxter operator: graded trace of monodromy times twist.
+
+    The in-sector entries are those of `monodromy_entry`, with the same
+    multiply order, but pairs of states that share their last sites share
+    the partial products over those sites.
+    """
     l = grading.l
-    if tuple(ctx.tau) != tuple(twist.tau):
-        ctx = QContext(q=ctx.q, tolerance=ctx.tolerance, tau=tuple(twist.tau))
     lop = build_L_a(a, zeta, grading, ctx)
-    tw = twist_diagonal(a, twist, ctx)
-    signs = module_signs(a, l)
+    shifts = twist_diagonal(a, twist, ctx)
     dim = (l + 1) ** n
     out = np.zeros((dim, dim), dtype=complex)
-    states = basis_states(l, n)
-    by_sector: Dict[SectorLabel, list] = {}
-    for st in states:
-        by_sector.setdefault(sector_of(st, l), []).append(st)
-    for members in by_sector.values():
-        for row in members:
-            for col in members:
-                expr = monodromy_entry(lop, row, col, ctx)
-                expr = multiply(expr, tw, ctx)
-                val = trace_exact(expr, signs, ctx)
-                out[state_index(row, l), state_index(col, l)] = val
+    _walk(n - 1, None, 0, 0, 1, [0] * (l + 1),
+          (lop.entries, out, module_signs(a, l), shifts, ctx))
     return out
 
 

@@ -133,7 +133,8 @@ def test_criterion_08_r_matrix_cross_check(l, n):
     assert rep.passed, rep.residual
 
 
-@pytest.mark.parametrize("l,n,k", [(1, 2, (1, 1)), (2, 2, (1, 1, 0))])
+@pytest.mark.parametrize("l,n,k", [(1, 2, (1, 1)), (2, 2, (1, 1, 0)),
+                                   (3, 2, (0, 0, 1, 1))])
 def test_criterion_09_bethe_closure(l, n, k):
     fam = _fam(l, n)
     bs = BetheSystem(fam)

@@ -45,27 +45,31 @@ def test_twist_coefficients_invert_cartan():
     for l in (1, 2, 3):
         theta = twist_coefficients(l)
         for i in range(1, l + 1):
-            acc = 2 * theta[i - 1]
+            acc = [2 * c for c in theta[i - 1]]
             if i >= 2:
-                acc = acc - theta[i - 2]
+                acc = [x - c for x, c in zip(acc, theta[i - 2])]
             if i <= l - 1:
-                acc = acc - theta[i]
-            # t_i = tau_i - tau_{i+1} as an exponent key
+                acc = [x - c for x, c in zip(acc, theta[i])]
+            # t_i = tau_i - tau_{i+1} as coefficients over tau
             expect = [Fraction(0)] * (l + 1)
             expect[i - 1], expect[i] = Fraction(1), Fraction(-1)
-            assert acc.const == 0
-            padded = acc.taus + (Fraction(0),) * (l + 1 - len(acc.taus))
-            assert list(padded) == expect
+            assert acc == expect
 
 
 def test_twist_diagonal_is_twist_linear():
     l = 2
-    d = twist_diagonal(1, TwistConfig.default(l), _ctx(l))
-    ((key, coeff),) = d.terms
-    assert coeff == 1.0
-    for (alpha, beta, exp) in key:
-        assert alpha == beta == 0
-        assert exp.const == 0  # purely twist-linear exponents
+    ctx = _ctx(l)
+    tau1, tau2 = TwistConfig.default(l).tau, (0.3, -1.7, 0.9)
+    summed = TwistConfig(tuple(x + y for x, y in zip(tau1, tau2)))
+    for a in range(1, l + 2):
+        d1 = twist_diagonal(a, TwistConfig(tau1), ctx)
+        d2 = twist_diagonal(a, TwistConfig(tau2), ctx)
+        assert len(d1) == l
+        assert twist_diagonal(a, summed, ctx) == pytest.approx(
+            [x + y for x, y in zip(d1, d2)], abs=1e-14)
+        # no constant part: the zero twist gives no shift
+        assert twist_diagonal(a, TwistConfig((0.0,) * (l + 1)), ctx) \
+            == [0.0] * l
 
 
 def test_module_signs_partition():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baxq.qnum import ExpKey, QContext
+from baxq.qnum import QContext
 from baxq.oscalg import (OscExpr, TracePoleError, TruncatedFock, multiply,
                          to_truncated, trace_exact, truncated_trace)
 
@@ -14,15 +14,15 @@ CTX = QContext(q=0.7, tau=(3.1, 1.9))
 
 
 def _bdag(modes=1, mode=1):
-    return OscExpr.monomial(modes, {mode: (1, 0, ExpKey.of(0))})
+    return OscExpr.monomial(modes, {mode: (1, 0, 0)})
 
 
 def _b(modes=1, mode=1):
-    return OscExpr.monomial(modes, {mode: (0, 1, ExpKey.of(0))})
+    return OscExpr.monomial(modes, {mode: (0, 1, 0)})
 
 
 def _qn(nu, modes=1, mode=1):
-    return OscExpr.monomial(modes, {mode: (0, 0, ExpKey.of(nu))})
+    return OscExpr.monomial(modes, {mode: (0, 0, nu)})
 
 
 def _mat(x, kind=1, cutoff=25):
@@ -63,7 +63,7 @@ def test_qn_conjugation_moves_through():
 def test_modes_are_independent():
     x = multiply(_bdag(2, 1), _b(2, 2), CTX)
     y = multiply(_b(2, 2), _bdag(2, 1), CTX)
-    assert x.terms == y.terms
+    assert dict(x.terms) == dict(y.terms)
 
 
 @settings(max_examples=30, deadline=None)
@@ -71,8 +71,8 @@ def test_modes_are_independent():
        st.integers(0, 3))
 def test_multiplication_matches_truncated(a1, b1, a2, b2):
     """Symbolic normal-ordered product == truncated matrix product."""
-    x = OscExpr.monomial(1, {1: (a1, b1, ExpKey.of(1))})
-    y = OscExpr.monomial(1, {1: (a2, b2, ExpKey.of(-2))})
+    x = OscExpr.monomial(1, {1: (a1, b1, 1)})
+    y = OscExpr.monomial(1, {1: (a2, b2, -2)})
     z = multiply(x, y, CTX)
     keep = 14  # safely inside the cutoff for <= 6 ladder steps
     for kind in (1, -1):
@@ -82,7 +82,7 @@ def test_multiplication_matches_truncated(a1, b1, a2, b2):
 
 
 def test_offdiagonal_trace_vanishes():
-    x = OscExpr.monomial(1, {1: (2, 1, ExpKey.of(5))})
+    x = OscExpr.monomial(1, {1: (2, 1, 5)})
     assert trace_exact(x, [1], CTX) == 0.0
 
 
@@ -99,6 +99,34 @@ def test_trace_pole_raises():
         trace_exact(_qn(0), [1], CTX)
 
 
+def test_trace_pole_raises_on_shifted_exponent():
+    with pytest.raises(TracePoleError):
+        trace_exact(_qn(1), [1], CTX, shifts=[-1.0])
+
+
+def test_trace_shifts_act_as_q_exponent_factor():
+    """trace(x, shifts) == trace(x * prod_k q^{shifts_k N_k})."""
+    rng = random.Random(12)
+    for _ in range(25):
+        x = OscExpr.zero(2)
+        for _ in range(3):
+            x = x + random_balanced_expr(rng)[0]
+        shifts = [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+        for signs in ((1, 1), (-1, 1), (-1, -1)):
+            shifted = trace_exact(x, signs, CTX, shifts)
+            moved = trace_exact(
+                multiply(x, OscExpr.q_exponent(2, shifts), CTX), signs, CTX)
+            assert abs(shifted - moved) <= 1e-14 * max(abs(moved), 1e-300)
+
+
+def test_trace_rejects_shift_length_mismatch():
+    x = OscExpr.q_exponent(2, [1, 2])
+    with pytest.raises(ValueError):
+        trace_exact(x, (1, 1), CTX, shifts=[0.5])
+    with pytest.raises(ValueError):
+        trace_exact(x, (1, 1), CTX, shifts=[0.5, 0.5, 0.5])
+
+
 def random_balanced_expr(rng, modes=2, margin=2.5):
     """Grade-balanced monomial whose truncated trace converges.
 
@@ -110,7 +138,7 @@ def random_balanced_expr(rng, modes=2, margin=2.5):
     for k in range(1, modes + 1):
         alpha = rng.randrange(0, 3)
         e = Fraction(round((alpha + margin + 3 * rng.random()) * 16), 16)
-        spec[k] = (alpha, alpha, ExpKey.of(e if sign > 0 else -e))
+        spec[k] = (alpha, alpha, e if sign > 0 else -e)
     coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return OscExpr.monomial(modes, spec, coeff), sign
 

@@ -1,48 +1,13 @@
-"""Deformation arithmetic: exponent keys, q-numbers, normalization series."""
+"""Deformation arithmetic: q-numbers, normalization series."""
 import cmath
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from baxq.qnum import ExpKey, QContext, f_series, q_number
+from baxq.qnum import QContext, f_series, q_number
 
 CTX = QContext(q=0.7)
-
-fractions = st.fractions(
-    min_value=-20, max_value=20, max_denominator=12,
-)
-
-
-@given(fractions, st.lists(fractions, max_size=4))
-def test_expkey_json_roundtrip(const, taus):
-    key = ExpKey.of(const, taus)
-    assert ExpKey.from_json(key.to_json()) == key
-
-
-@given(fractions, st.lists(fractions, max_size=4),
-       fractions, st.lists(fractions, max_size=4))
-def test_expkey_addition_commutes(c1, t1, c2, t2):
-    a, b = ExpKey.of(c1, t1), ExpKey.of(c2, t2)
-    assert a + b == b + a
-    assert (a + b) - b == a
-
-
-def test_expkey_trailing_zeros_trimmed():
-    assert ExpKey.of(1, [2, 0, 0]) == ExpKey.of(1, [2])
-    assert ExpKey.of(0, [0, 0]).is_constant()
-
-
-def test_expkey_value_uses_twist():
-    ctx = QContext(q=0.7, tau=(1.5, -0.5))
-    key = ExpKey.of(Fraction(1, 2), [2, 3])
-    assert key.value(ctx) == pytest.approx(0.5 + 2 * 1.5 + 3 * (-0.5))
-
-
-def test_expkey_value_rejects_short_twist():
-    with pytest.raises(ValueError):
-        ExpKey.of(0, [1, 1, 1]).value(QContext(q=0.7, tau=(1.0,)))
 
 
 def test_qpow_exact_for_real_q():

@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
+from baxq.borelhoms import module_signs, twist_diagonal
+from baxq.lop import build_L_a
+from baxq.oscalg import trace_exact
 from baxq.qop import (QFamily, SectorLabel, basis_states, dressing_exponent,
-                      load_matrix, op_det, save_matrix, sector_of, sectors,
-                      state_index)
+                      load_matrix, monodromy_entry, op_det, q_prime,
+                      save_matrix, sector_of, sectors, state_index)
 
 from conftest import make_setup
 
@@ -34,6 +37,29 @@ def test_operator_is_sector_block_diagonal():
             for c in idxs:
                 mask[r, c] = True
     assert np.max(np.abs(mat[~mask])) == 0.0
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 2), (3, 2)])
+def test_q_prime_matches_straight_line_monodromy(l, n):
+    """The shared-suffix walk multiplies in the same order as
+    monodromy_entry, so every entry agrees exactly."""
+    twist, grading, ctx, fam = make_setup(l, n)
+    zeta = 0.57 + 0.21j
+    states = basis_states(l, n)
+    for a in range(1, l + 2):
+        lop = build_L_a(a, zeta, grading, ctx)
+        signs = module_signs(a, l)
+        shifts = twist_diagonal(a, twist, ctx)
+        ref = np.zeros(((l + 1) ** n,) * 2, dtype=complex)
+        for members in sectors(l, n).values():
+            block = [states[i] for i in members]
+            for row in block:
+                for col in block:
+                    expr = monodromy_entry(lop, row, col, ctx)
+                    ref[state_index(row, l), state_index(col, l)] = \
+                        trace_exact(expr, signs, ctx, shifts)
+        got = q_prime(a, zeta, n, twist, grading, ctx)
+        assert np.array_equal(got, ref), a
 
 
 def test_q_operators_commute():
