@@ -4,10 +4,11 @@ On each weight sector the commuting Baxter family has a common eigenbasis;
 along one eigenline the generalized Q-function is, up to a known power of
 the spectral parameter, a polynomial in z = zeta^s whose degree is the sum
 of the occupation numbers selected by the index tuple.  This module samples
-those eigenvalues, interpolates the polynomials, extracts their roots, and
-evaluates the nested Bethe equations (in their leveled product form and in
-the generic three-Q ratio form) at the extracted roots.  A damped Newton
-solver for the leveled equations is included for cross-checking.
+those eigenvalues on the unit circle |z| = 1, recovers the polynomials by a
+discrete Fourier transform, extracts their roots, and evaluates the nested
+Bethe equations (in their leveled product form and in the generic three-Q
+ratio form) at the extracted roots.  A damped Newton solver for the leveled
+equations is included for cross-checking.
 """
 from __future__ import annotations
 
@@ -74,6 +75,10 @@ class BetheSystem:
         self._check_zeta = check_zeta
         self._diag_tol = diag_tol
         self._sectors = sectors(fam.l, fam.n)
+        # Per sector: smallest eigenvalue separation of the basis operator
+        # (relative to its largest eigenvalue; None on a one-line sector)
+        # and worst relative off-diagonal residue of the probed Q_a.
+        self.health: Dict[SectorLabel, dict] = {}
 
     def sector_labels(self) -> List[SectorLabel]:
         return list(self._sectors)
@@ -93,18 +98,30 @@ class BetheSystem:
         zs = self._basis_zetas
         b = sum(self._gamma ** (a - 1) * block(a, zs[(a - 1) % len(zs)])
                 for a in ops)
-        _, vecs = np.linalg.eig(b)
+        vals, vecs = np.linalg.eig(b)
         vinv = np.linalg.inv(vecs)
         # The basis must diagonalize members of the family it was not built
         # from; a failure here means degenerate spectra on this sector.
+        residues = {}
         for a in ops:
             d = vinv @ block(a, self._check_zeta) @ vecs
             off = np.max(np.abs(d - np.diag(np.diag(d))))
-            if off > self._diag_tol * max(1.0, np.max(np.abs(d))):
-                raise ArithmeticError(
-                    "sector %s eigenbasis does not diagonalize Q_%d "
-                    "(off-diagonal %.2e)" % (label.k, a, off)
-                )
+            residues[a] = float(off / max(1.0, np.max(np.abs(d))))
+        worst = max(residues, key=residues.get)
+        gaps = np.abs(vals[:, None] - vals[None, :])[
+            np.triu_indices(len(vals), 1)]
+        self.health[label] = {
+            "min_separation": (float(gaps.min()
+                                     / max(np.max(np.abs(vals)), 1e-300))
+                               if gaps.size else None),
+            "offdiag_residue": residues[worst],
+        }
+        if residues[worst] > self._diag_tol:
+            raise ArithmeticError(
+                "sector %s eigenbasis does not diagonalize Q_%d "
+                "(relative off-diagonal %.2e)" % (label.k, worst,
+                                                  residues[worst])
+            )
         self._bases[label] = (idx, vecs, vinv)
         return self._bases[label]
 
@@ -118,14 +135,16 @@ class BetheSystem:
         return complex(vinv[eigenline] @ q @ vecs[:, eigenline])
 
     def eigen_polynomial(self, a_tuple: Sequence[int], label: SectorLabel,
-                         eigenline: int, n_extra: int = 3,
-                         z_window: Tuple[float, float] = (0.25, 0.85),
+                         eigenline: int,
                          recon_tol: float = 1e-7) -> BethePolynomial:
-        """Interpolate the eigenline polynomial in z = zeta^s and factor it.
+        """Recover the eigenline polynomial in z = zeta^s and factor it.
 
-        Chebyshev-placed sample points in z keep the Vandermonde solve well
-        conditioned; surplus points make the fit overdetermined and give an
-        internal reconstruction residual.
+        The degree + 1 samples sit at the roots of unity z_t = w^t, where
+        they are the discrete Fourier transform of the coefficients, so the
+        inverse transform recovers them without an ill-conditioned solve
+        (summed directly: with at most n + 1 samples that is as cheap as an
+        FFT, and it spares loading numpy's FFT module).  One eigenvalue at
+        the off-circle point zeta = check_zeta checks the result.
         """
         at = tuple(a_tuple)
         s = self.fam.grading.total
@@ -134,28 +153,31 @@ class BetheSystem:
             dressing_exponent(a, label, self.fam.twist, self.fam.grading)
             for a in at
         )
-        m = degree + 1 + n_extra
-        lo, hi = z_window
-        mid, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
-        zs = np.array([mid + rad * math.cos(math.pi * (2 * t + 1) / (2 * m))
-                       for t in range(m)])
-        vals = np.empty(m, dtype=complex)
-        for t, z in enumerate(zs):
-            zeta = z ** (1.0 / s)
-            vals[t] = (self.eigenvalue(at, label, eigenline, zeta)
-                       / cmath.exp(pref * cmath.log(zeta)))
-        coeffs = np.polyfit(zs, vals, degree)
-        resid = float(np.max(np.abs(np.polyval(coeffs, zs) - vals))
-                      / max(np.max(np.abs(vals)), 1e-300))
+
+        def undressed(zeta: complex) -> complex:
+            return (self.eigenvalue(at, label, eigenline, zeta)
+                    / cmath.exp(pref * cmath.log(zeta)))
+
+        m = degree + 1
+        vals = np.array([undressed(cmath.exp(2j * math.pi * t / (m * s)))
+                         for t in range(m)])
+        t = np.arange(m)
+        # Ascending powers of z.
+        coeffs = np.exp(-2j * math.pi * np.outer(t, t) / m) @ vals / m
+        z0 = self._check_zeta ** s
+        direct = undressed(self._check_zeta)
+        scale = max(abs(direct), float(np.polyval(np.abs(coeffs[::-1]),
+                                                  abs(z0))), 1e-300)
+        resid = abs(np.polyval(coeffs[::-1], z0) - direct) / scale
         if resid > recon_tol:
             raise ArithmeticError(
                 "eigenline polynomial reconstruction failed "
                 "(degree %d, residual %.2e)" % (degree, resid)
             )
-        leading = complex(coeffs[0])
-        roots = [complex(r) for r in np.roots(coeffs)] if degree else []
+        leading = complex(coeffs[-1])
+        roots = [complex(r) for r in np.roots(coeffs[::-1])] if degree else []
         return BethePolynomial(at, label, eigenline, leading, float(pref),
-                               roots, resid)
+                               roots, float(resid))
 
     def path_polynomials(self, path: Sequence[int], label: SectorLabel,
                          eigenline: int) -> List[BethePolynomial]:

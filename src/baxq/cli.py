@@ -37,6 +37,11 @@ from .qop import QFamily, save_matrix, sectors
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("relations", "bethe", "lweights")
+# Pass bounds of the Bethe residuals |LHS/RHS - 1| and of the l-weight
+# product and weight residuals; the relation checks take theirs from
+# `RunConfig.tolerance` or their own defaults.
+BETHE_TOLERANCE = 1e-6
+LWEIGHT_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -126,8 +131,8 @@ def _report_entry(rep: funcrel.RelationReport) -> dict:
     }
 
 
-def _relations_suite(config: RunConfig, rng: random.Random) -> List[dict]:
-    fam = _family(config)
+def _relations_suite(config: RunConfig, fam: QFamily,
+                     rng: random.Random) -> List[dict]:
     tq = funcrel.TransferFromQ(fam)
     tol = config.tolerance
     l = config.l
@@ -161,15 +166,25 @@ def _relations_suite(config: RunConfig, rng: random.Random) -> List[dict]:
     return out
 
 
-def _bethe_suite(config: RunConfig, rng: random.Random) -> dict:
-    fam = _family(config)
+def _bethe_suite(config: RunConfig, fam: QFamily,
+                 rng: random.Random) -> dict:
+    """Roots and nested-equation residuals of every eigenline.
+
+    A sector whose eigenbasis or polynomials cannot be formed (an
+    ArithmeticError) gives one failed entry per eigenline under "failures".
+    """
     bs = BetheSystem(fam)
     l = config.l
     path = tuple(range(1, l + 2))
-    polys_out, residuals = [], []
+    polys_out, residuals, failures = [], [], []
     for label in sorted(sectors(l, config.n), key=lambda lb: lb.k):
         for line in range(bs.n_lines(label)):
-            polys = bs.path_polynomials(path, label, line)
+            try:
+                polys = bs.path_polynomials(path, label, line)
+            except ArithmeticError as exc:
+                failures.append({"sector": list(label.k), "eigenline": line,
+                                 "reason": str(exc), "passed": False})
+                continue
             for p in polys:
                 polys_out.append({
                     "a_tuple": list(p.a_tuple),
@@ -188,9 +203,14 @@ def _bethe_suite(config: RunConfig, rng: random.Random) -> dict:
                         "sector": list(label.k), "eigenline": line,
                         "root": [r.root.real, r.root.imag],
                         "residual": r.residual,
-                        "passed": r.residual < 1e-6,
+                        "tolerance": BETHE_TOLERANCE,
+                        "passed": r.residual < BETHE_TOLERANCE,
                     })
-    return {"polynomials": polys_out, "residuals": residuals}
+    health = [dict(sector=list(label.k), **h)
+              for label, h in sorted(bs.health.items(),
+                                     key=lambda item: item[0].k)]
+    return {"polynomials": polys_out, "residuals": residuals,
+            "failures": failures, "health": health}
 
 
 def _lweights_suite(config: RunConfig, rng: random.Random) -> dict:
@@ -219,16 +239,22 @@ def _lweights_suite(config: RunConfig, rng: random.Random) -> dict:
             "product_residual": worst_c,
             "weight_residual": worst_w,
             "structural_independence": structural,
-            "passed": worst_c < 1e-10 and worst_w < 1e-10 and structural,
+            "tolerance": LWEIGHT_TOLERANCE,
+            "passed": (worst_c < LWEIGHT_TOLERANCE
+                       and worst_w < LWEIGHT_TOLERANCE and structural),
         })
     return {"cases": results}
 
 
 def run_suite(config: RunConfig) -> dict:
-    """Execute the selected suites and assemble the report dictionary."""
+    """Execute the selected suites and assemble the report dictionary.
+
+    The relations and Bethe suites share one Q-family.  `timings` holds the
+    wall time of each suite that ran, `elapsed_seconds` that of the run.
+    """
     config.validate()
     rng = random.Random(config.seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
@@ -237,21 +263,31 @@ def run_suite(config: RunConfig) -> dict:
             "python": sys.version.split()[0],
         },
     }
+    fam = _family(config)
+    timings = {}
     ok = True
     if "relations" in config.suites:
-        rels = _relations_suite(config, rng)
+        start = time.perf_counter()
+        rels = _relations_suite(config, fam, rng)
+        timings["relations"] = time.perf_counter() - start
         report["relations"] = rels
         ok = ok and all(r["passed"] for r in rels)
     if "bethe" in config.suites:
-        bet = _bethe_suite(config, rng)
+        start = time.perf_counter()
+        bet = _bethe_suite(config, fam, rng)
+        timings["bethe"] = time.perf_counter() - start
         report["bethe"] = bet
-        ok = ok and all(r["passed"] for r in bet["residuals"])
+        ok = (ok and all(r["passed"] for r in bet["residuals"])
+              and not bet["failures"])
     if "lweights" in config.suites:
+        start = time.perf_counter()
         lw = _lweights_suite(config, rng)
+        timings["lweights"] = time.perf_counter() - start
         report["lweights"] = lw
         ok = ok and all(c["passed"] for c in lw["cases"])
     report["passed"] = ok
-    report["elapsed_seconds"] = time.time() - t0
+    report["timings"] = timings
+    report["elapsed_seconds"] = time.perf_counter() - t0
     return report
 
 
@@ -268,6 +304,10 @@ def emit_report(report: dict, out_dir: str, csv_summary: bool = True) -> str:
         for r in report.get("bethe", {}).get("residuals", []):
             rows.append(("bethe", "level-%d" % r["level"], r["residual"],
                          r["passed"]))
+        for r in report.get("bethe", {}).get("failures", []):
+            rows.append(("bethe", "sector-%s-line-%d" % (
+                "".join(map(str, r["sector"])), r["eigenline"]), "",
+                r["passed"]))
         for c in report.get("lweights", {}).get("cases", []):
             rows.append(("lweights", "l=%d" % c["l"], c["product_residual"],
                          c["passed"]))
@@ -306,7 +346,7 @@ def _dump_l_json(config: RunConfig) -> dict:
                         for m, t in enumerate(key) if any(t)
                     ],
                 }
-                for key, c in expr.terms
+                for (key, _), c in expr.terms
             ]
     return {
         "l": config.l, "zeta": config.zetas[0], "s": list(grading.s),
@@ -396,10 +436,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg.suites = ("bethe",)
         report = run_suite(cfg)
         path = emit_report(report, out_dir)
-        bad = [r for r in report["bethe"]["residuals"] if not r["passed"]]
-        print("report written to %s (%d residuals, %d failing)"
-              % (path, len(report["bethe"]["residuals"]), len(bad)))
-        return 0 if not bad else 1
+        bet = report["bethe"]
+        bad = [r for r in bet["residuals"] if not r["passed"]]
+        print("report written to %s (%d residuals, %d failing, %d eigenlines "
+              "failed)" % (path, len(bet["residuals"]), len(bad),
+                           len(bet["failures"])))
+        return 0 if report["passed"] else 1
 
     if args.command == "lweights":
         cfg.suites = ("lweights",)

@@ -1,8 +1,10 @@
 """Oscillator-valued Lax matrices and their factored construction.
 
 The basic Lax matrix acts on (l-mode oscillator algebra) x C^{l+1}; it is
-stored as an (l+1) x (l+1) array of symbolic oscillator expressions with the
-spectral-parameter powers baked in numerically.  A rotated family indexed by
+stored as an (l+1) x (l+1) array of symbolic oscillator expressions.  Built
+without a spectral parameter, every term carries its integer power of zeta
+beside its oscillator monomial, so one matrix serves every zeta; built at a
+number zeta, the powers are substituted.  A rotated family indexed by
 a = 1..l+1 is generated by conjugating with the cyclic shift matrix while
 simultaneously cycling the grading exponents.
 
@@ -13,7 +15,7 @@ it serves as an independent cross-check of `build_L`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -51,10 +53,13 @@ class GradingConfig:
 
 @dataclass
 class LOperator:
-    """An (l+1)x(l+1) matrix of oscillator expressions at fixed zeta."""
+    """An (l+1)x(l+1) matrix of oscillator expressions.
+
+    `zeta` is None when the entries carry their zeta-powers symbolically.
+    """
 
     l: int
-    zeta: complex
+    zeta: Optional[complex]
     grading: GradingConfig
     entries: list  # nested list [(l+1)][(l+1)] of OscExpr
 
@@ -92,8 +97,9 @@ def _n_range_exps(l: int, lo: int, hi: int) -> list:
     return [1 if lo <= k < hi else 0 for k in range(1, l + 1)]
 
 
-def build_L(zeta: complex, grading: GradingConfig, ctx: QContext) -> LOperator:
-    """The basic Lax matrix in closed form."""
+def build_L(zeta: Optional[complex], grading: GradingConfig,
+            ctx: QContext) -> LOperator:
+    """The basic Lax matrix in closed form; zeta None keeps the powers."""
     l = grading.l
     q = ctx.q
     kappa = ctx.kappa
@@ -106,14 +112,13 @@ def build_L(zeta: complex, grading: GradingConfig, ctx: QContext) -> LOperator:
             for k in range(j, i):
                 exps[k - 1] += 1
             exps[i - 1] -= 1
-            coeff = kappa * zeta ** grading.partial(j, i) * ctx.qpow(i - j - 2)
             m[i - 1][j - 1] = OscExpr.monomial(
                 l,
                 {j: (0, 1, exps[j - 1]),
                  i: (1, 0, exps[i - 1]),
                  **{k: (0, 0, exps[k - 1])
                     for k in range(j + 1, i)}},
-                coeff,
+                kappa * ctx.qpow(i - j - 2), grading.partial(j, i),
             )
     # Bottom row: b_j q^{N_j + N_{j,l+1} - j + l}
     for j in range(1, l + 1):
@@ -122,35 +127,34 @@ def build_L(zeta: complex, grading: GradingConfig, ctx: QContext) -> LOperator:
         for k in range(j, l + 1):
             if k <= l:
                 exps[k - 1] += 1
-        coeff = zeta ** grading.partial(j, l + 1) * ctx.qpow(l - j)
         m[l][j - 1] = OscExpr.monomial(
             l,
             {k: ((0, 1, exps[k - 1]) if k == j
                  else (0, 0, exps[k - 1]))
              for k in range(j, l + 1)},
-            coeff,
+            ctx.qpow(l - j), grading.partial(j, l + 1),
         )
     # Last column: -kappa bdag_i q^{N_{1i} - N_i + i - 2}
     for i in range(1, l + 1):
         exps = [1 if k < i else 0 for k in range(1, l + 1)]
         exps[i - 1] = -1
-        coeff = (-kappa * zeta ** (grading.total - grading.partial(i, l + 1))
-                 * ctx.qpow(i - 2))
         m[i - 1][l] = OscExpr.monomial(
             l,
             {k: ((1, 0, exps[k - 1]) if k == i
                  else (0, 0, exps[k - 1]))
              for k in range(1, i + 1)},
-            coeff,
+            -kappa * ctx.qpow(i - 2),
+            grading.total - grading.partial(i, l + 1),
         )
     # Diagonal.
     for i in range(1, l + 1):
         m[i - 1][i - 1] = OscExpr.monomial(l, {i: (0, 0, 1)})
     m[l][l] = (
         OscExpr.q_exponent(l, [-1] * l)
-        + OscExpr.q_exponent(l, [1] * l,
-                             -zeta ** grading.total * ctx.qpow(l))
+        + OscExpr.q_exponent(l, [1] * l, -ctx.qpow(l), grading.total)
     )
+    if zeta is not None:
+        m = [[e.at(zeta) for e in row] for row in m]
     return LOperator(l, zeta, grading, m)
 
 
@@ -172,9 +176,10 @@ def _shift_matrices(l: int, ctx: QContext):
     return _O_CACHE[key]
 
 
-def build_L_a(a: int, zeta: complex, grading: GradingConfig,
+def build_L_a(a: int, zeta: Optional[complex], grading: GradingConfig,
               ctx: QContext) -> LOperator:
-    """Rotated Lax matrix, a = 1..l+1 (a = l+1 is the basic one)."""
+    """Rotated Lax matrix, a = 1..l+1 (a = l+1 is the basic one); zeta None
+    keeps the zeta-powers symbolic."""
     l = grading.l
     if not 1 <= a <= l + 1:
         raise ValueError("a out of range")

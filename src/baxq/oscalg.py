@@ -4,17 +4,20 @@ An expression is a finite sum of normal-ordered monomials
 
     c * prod_k  bdag_k^{alpha_k}  b_k^{beta_k}  q^{E_k N_k}
 
-over independent modes k = 1..l.  The exponents E_k are plain numbers
-(integers for every library-built expression), the coefficients c are
-complex doubles.  Products are normal-ordered on the fly via the exchange
-relation
+over independent modes k = 1..l, each term also carrying an integer power
+p of the spectral parameter zeta, so that one expression can stand for a
+whole polynomial in zeta.  The exponents E_k are plain numbers (integers for
+every library-built expression), the coefficients c are complex doubles.
+Products add the zeta-powers and are normal-ordered on the fly via the
+exchange relation
 
     b bdag = (q q^N - q^{-1} q^{-N}) / (q - q^{-1}),
 
 and graded traces over the level-raising/lowering Fock modules reduce to
 closed-form geometric sums, so no Fock-space truncation is involved.  A
-numeric per-mode exponent shift (the twist) may be applied at the trace.  A
-truncated matrix realization is provided separately as a numerical oracle.
+numeric per-mode exponent shift (the twist) may be applied at the trace, and
+the trace is taken separately for every zeta-power.  A truncated matrix
+realization of zeta-free expressions is provided as a numerical oracle.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ from .qnum import QContext
 ModeKey = Tuple[int, int, object]
 # A full monomial label: one ModeKey per mode.
 MonoKey = Tuple[ModeKey, ...]
+# A term label: the monomial and its integer power of zeta.
+TermKey = Tuple[MonoKey, int]
 
 
 class TracePoleError(ArithmeticError):
@@ -44,12 +49,12 @@ class OscExpr:
     """A sum of normal-ordered monomials over `modes` oscillator modes."""
 
     modes: int
-    terms: tuple  # tuple of (MonoKey, complex) pairs, in insertion order
+    terms: tuple  # tuple of (TermKey, complex) pairs, in insertion order
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, modes: int, d: Dict[MonoKey, complex]) -> "OscExpr":
+    def from_dict(cls, modes: int, d: Dict[TermKey, complex]) -> "OscExpr":
         return cls(modes, tuple((k, complex(v)) for k, v in d.items() if v != 0))
 
     @classmethod
@@ -58,20 +63,22 @@ class OscExpr:
 
     @classmethod
     def one(cls, modes: int) -> "OscExpr":
-        return cls.from_dict(modes, {tuple(_mode_unit() for _ in range(modes)): 1.0})
+        return cls.monomial(modes, {})
 
     @classmethod
     def monomial(cls, modes: int, spec: Dict[int, ModeKey],
-                 coeff: complex = 1.0) -> "OscExpr":
-        """Single monomial; `spec` maps 1-based mode index to (a, b, E)."""
+                 coeff: complex = 1.0, zpow: int = 0) -> "OscExpr":
+        """coeff * zeta^zpow times one monomial; `spec` maps 1-based mode
+        index to (a, b, E)."""
         key = tuple(spec.get(k, _mode_unit()) for k in range(1, modes + 1))
-        return cls.from_dict(modes, {key: coeff})
+        return cls.from_dict(modes, {(key, zpow): coeff})
 
     @classmethod
-    def q_exponent(cls, modes: int, exps: Sequence, coeff: complex = 1.0) -> "OscExpr":
-        """prod_k q^{exps[k-1] N_k} as a single monomial."""
+    def q_exponent(cls, modes: int, exps: Sequence, coeff: complex = 1.0,
+                   zpow: int = 0) -> "OscExpr":
+        """coeff * zeta^zpow * prod_k q^{exps[k-1] N_k}."""
         key = tuple((0, 0, e) for e in exps)
-        return cls.from_dict(modes, {key: coeff})
+        return cls.from_dict(modes, {(key, zpow): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -88,6 +95,13 @@ class OscExpr:
 
     def scale(self, c: complex) -> "OscExpr":
         return OscExpr.from_dict(self.modes, {k: c * v for k, v in self.terms})
+
+    def at(self, zeta: complex) -> "OscExpr":
+        """The zeta-free expression obtained by substituting a number."""
+        d: Dict[TermKey, complex] = {}
+        for (key, p), v in self.terms:
+            d[(key, 0)] = d.get((key, 0), 0.0) + v * zeta ** p
+        return OscExpr.from_dict(self.modes, d)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -132,8 +146,16 @@ def _normal_order(beta: int, alpha: int, ctx: QContext) -> list:
     return out
 
 
+# Cache of single-mode products, keyed by (q, m1, m2).
+_MP_CACHE: dict = {}
+
+
 def _mode_product(m1: ModeKey, m2: ModeKey, ctx: QContext) -> list:
     """Product of two single-mode monomials as [(ModeKey, coeff)]."""
+    key = (ctx.q, m1, m2)
+    hit = _MP_CACHE.get(key)
+    if hit is not None:
+        return hit
     a1, b1, e1 = m1
     a2, b2, e2 = m2
     # Move q^{e1 N} through bdag^{a2} b^{b2}: picks up q^{e1 (a2 - b2)}.
@@ -144,16 +166,17 @@ def _mode_product(m1: ModeKey, m2: ModeKey, ctx: QContext) -> list:
         # bdag^{a1} [bdag^a b^b q^{mN}] b^{b2} q^{esum N}
         coeff = phase * c * (ctx.qpow(-m * b2) if b2 else 1.0)
         out.append(((a1 + a, b + b2, esum + m), coeff))
+    _MP_CACHE[key] = out
     return out
 
 
 def multiply(x: OscExpr, y: OscExpr, ctx: QContext) -> OscExpr:
-    """Normal-ordered product x * y."""
+    """Normal-ordered product x * y; the zeta-powers of the factors add."""
     if x.modes != y.modes:
         raise ValueError("mode count mismatch")
-    acc: Dict[MonoKey, complex] = {}
-    for kx, cx in x.terms:
-        for ky, cy in y.terms:
+    acc: Dict[TermKey, complex] = {}
+    for (kx, px), cx in x.terms:
+        for (ky, py), cy in y.terms:
             partial = [((), cx * cy)]
             for mx, my in zip(kx, ky):
                 factors = _mode_product(mx, my, ctx)
@@ -162,12 +185,18 @@ def multiply(x: OscExpr, y: OscExpr, ctx: QContext) -> OscExpr:
                     for key, c in partial
                     for mk, fc in factors
                 ]
+            p = px + py
             for key, c in partial:
-                acc[key] = acc.get(key, 0.0) + c
+                label = (key, p)
+                acc[label] = acc.get(label, 0.0) + c
     return OscExpr.from_dict(x.modes, acc).prune(ctx)
 
 
 # -- exact graded traces ---------------------------------------------------
+
+# Cache of single-mode traces, keyed by (q, tolerance, mode, sign, shift).
+_TRACE_CACHE: dict = {}
+
 
 def _mode_trace(mode: ModeKey, sign: int, shift: float,
                 ctx: QContext) -> complex:
@@ -180,6 +209,10 @@ def _mode_trace(mode: ModeKey, sign: int, shift: float,
     a, b, e = mode
     if a != b:
         return 0.0
+    key = (ctx.q, ctx.tolerance, mode, sign, shift)
+    hit = _TRACE_CACHE.get(key)
+    if hit is not None:
+        return hit
     # bdag^a b^a = [N]_q [N-1]_q ... [N-a+1]_q; expand the product of
     # (q^{-j} q^N - q^{j} q^{-N})/kappa factors into shifts of the exponent.
     shifts: Dict[int, complex] = {0: 1.0 + 0j}
@@ -199,12 +232,15 @@ def _mode_trace(mode: ModeKey, sign: int, shift: float,
                 "trace pole at exponent %r + %r + %d" % (e, shift, m)
             )
         total += c / pole
-    return sign * total
+    _TRACE_CACHE[key] = sign * total
+    return _TRACE_CACHE[key]
 
 
-def trace_exact(x: OscExpr, signs: Sequence[int], ctx: QContext,
-                shifts: Optional[Sequence[float]] = None) -> complex:
-    """Graded trace over a product of Fock modules, one sign per mode.
+def trace_powers(x: OscExpr, signs: Sequence[int], ctx: QContext,
+                 shifts: Optional[Sequence[float]] = None
+                 ) -> Dict[int, complex]:
+    """Graded trace over a product of Fock modules, one sign per mode,
+    taken separately for each zeta-power: {p: trace of the zeta^p part}.
 
     `shifts`, if given, adds a numeric exponent to each mode: the result is
     the trace of x * prod_k q^{shifts[k-1] N_k}.
@@ -215,15 +251,24 @@ def trace_exact(x: OscExpr, signs: Sequence[int], ctx: QContext,
         shifts = (0,) * x.modes
     elif len(shifts) != x.modes:
         raise ValueError("need one exponent shift per mode")
-    total = 0.0 + 0j
-    for key, c in x.terms:
+    out: Dict[int, complex] = {}
+    for (key, p), c in x.terms:
         val = c
         for mode, s, sh in zip(key, signs, shifts):
             val *= _mode_trace(mode, s, sh, ctx)
             if val == 0:
                 break
-        total += val
-    return total
+        out[p] = out.get(p, 0j) + val
+    return out
+
+
+def trace_exact(x: OscExpr, signs: Sequence[int], ctx: QContext,
+                shifts: Optional[Sequence[float]] = None) -> complex:
+    """Graded trace of a zeta-free expression (see `trace_powers`)."""
+    traces = trace_powers(x, signs, ctx, shifts)
+    if any(traces):
+        raise ValueError("expression carries zeta-powers; use trace_powers")
+    return traces.get(0, 0j)
 
 
 # -- truncated Fock oracle -------------------------------------------------
@@ -284,13 +329,21 @@ class TruncatedFock:
         return m
 
 
+def _zeta_free_terms(x: OscExpr) -> list:
+    """(MonoKey, coeff) pairs of an expression without zeta-powers."""
+    if any(p for (_, p), _ in x.terms):
+        raise ValueError("expression carries zeta-powers")
+    return [(key, c) for (key, _), c in x.terms]
+
+
 def to_truncated(x: OscExpr, focks: Sequence[TruncatedFock]) -> np.ndarray:
-    """Dense matrix of the expression on the tensor product of cutoffs."""
+    """Dense matrix of a zeta-free expression on the tensor product of
+    cutoffs."""
     if len(focks) != x.modes:
         raise ValueError("need one truncation per mode")
     dim = int(np.prod([f.cutoff for f in focks]))
     out = np.zeros((dim, dim), dtype=complex)
-    for key, c in x.terms:
+    for key, c in _zeta_free_terms(x):
         m = np.eye(1, dtype=complex)
         for mode, f in zip(key, focks):
             m = np.kron(m, f.mono_matrix(mode))
@@ -305,7 +358,7 @@ def truncated_trace(x: OscExpr, focks: Sequence[TruncatedFock]) -> complex:
     realization, so a plain matrix trace is the graded trace.
     """
     total = 0.0 + 0j
-    for key, c in x.terms:
+    for key, c in _zeta_free_terms(x):
         val = c
         for mode, f in zip(key, focks):
             val *= np.trace(f.mono_matrix(mode))

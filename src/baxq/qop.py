@@ -9,11 +9,18 @@ finally dressed with a sector-diagonal power of the spectral parameter.
 Operators with different a and different spectral parameters all commute,
 which the tests verify.
 
+The undressed operator Q'_a is a matrix polynomial of degree n in
+z = zeta^s that vanishes between weight sectors.  It is built once per a,
+from the zeta-free Lax matrix, as exact coefficients: one (n+1, m, m) stack
+per sector of size m.  An operator at a given zeta is then a Horner
+evaluation of those stacks plus the sector dressing.
+
 Determinants of shifted Baxter operators (generalized Q-functions) feed the
 functional relations in `funcrel`.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
@@ -22,7 +29,7 @@ import numpy as np
 
 from .borelhoms import TwistConfig, module_signs, twist_diagonal
 from .lop import GradingConfig, LOperator, build_L_a
-from .oscalg import OscExpr, multiply, trace_exact
+from .oscalg import OscExpr, multiply, trace_powers
 from .qnum import QContext
 
 
@@ -95,16 +102,18 @@ def monodromy_entry(lop: LOperator, row_state: Sequence[int],
 
 def _walk(site: int, expr, row: int, col: int, weight: int, excess: list,
           env: tuple) -> None:
-    """Fill Q' entries for every in-sector (row, col) pair extending a suffix.
+    """Fill Q' coefficients for every in-sector (row, col) pair extending a
+    suffix.
 
     `expr` is the monodromy product over sites site+1..n-1 (None before the
     first), `row`/`col` their partial state indices and `excess` the row
     minus column occupation counts so far.  Each site can cancel at most two
     units of excess, so a branch stops once the remaining sites cannot make
     row and column one sector, or once the product vanishes.  `env` holds
-    (Lax entries, output matrix, module signs, twist shifts, context).
+    (Lax entries, sector blocks, block of each state, position of each state
+    in its block, module signs, twist shifts, s, context).
     """
-    entries, out, signs, shifts, ctx = env
+    entries, blocks, block_of, pos, signs, shifts, s, ctx = env
     dim = len(entries)
     for i in range(dim):
         excess[i] += 1
@@ -118,44 +127,51 @@ def _walk(site: int, expr, row: int, col: int, weight: int, excess: list,
                 if prod.terms:
                     r, c = row + i * weight, col + j * weight
                     if site == 0:
-                        out[r, c] = trace_exact(prod, signs, ctx, shifts)
+                        # A Lax term in entry (i, j) has zeta-power
+                        # phi(i) - phi(j) mod s for one fixed phi, so the
+                        # powers of an in-sector pair are multiples of s.
+                        blk = blocks[block_of[r]]
+                        for p, val in trace_powers(prod, signs, ctx,
+                                                   shifts).items():
+                            blk[p // s, pos[r], pos[c]] = val
                     else:
                         _walk(site - 1, prod, r, c, weight * dim, excess, env)
             excess[j] += 1
         excess[i] -= 1
 
 
-def q_prime(a: int, zeta: complex, n: int, twist: TwistConfig,
-            grading: GradingConfig, ctx: QContext) -> np.ndarray:
-    """Undressed Baxter operator: graded trace of monodromy times twist.
+def q_prime(a: int, n: int, twist: TwistConfig, grading: GradingConfig,
+            ctx: QContext) -> Dict[SectorLabel, np.ndarray]:
+    """Undressed Baxter operator Q'_a as exact coefficients in z = zeta^s.
 
-    The in-sector entries are those of `monodromy_entry`, with the same
-    multiply order, but pairs of states that share their last sites share
-    the partial products over those sites.
+    One walk over the zeta-free monodromy: the graded trace of each
+    in-sector entry times the twist, split by power of zeta.  Returns, per
+    sector, a (n+1, m, m) array whose k-th slice multiplies z^k (rows and
+    columns in the order of `sectors`).  The entries are those of
+    `monodromy_entry`, with the same multiply order, but pairs of states
+    that share their last sites share the partial products over those sites.
     """
     l = grading.l
-    lop = build_L_a(a, zeta, grading, ctx)
-    shifts = twist_diagonal(a, twist, ctx)
-    dim = (l + 1) ** n
-    out = np.zeros((dim, dim), dtype=complex)
+    lop = build_L_a(a, None, grading, ctx)
+    secs = sectors(l, n)
+    block_of, pos = {}, {}
+    blocks = []
+    for b, idxs in enumerate(secs.values()):
+        blocks.append(np.zeros((n + 1, len(idxs), len(idxs)), dtype=complex))
+        for p, idx in enumerate(idxs):
+            block_of[idx], pos[idx] = b, p
     _walk(n - 1, None, 0, 0, 1, [0] * (l + 1),
-          (lop.entries, out, module_signs(a, l), shifts, ctx))
+          (lop.entries, blocks, block_of, pos, module_signs(a, l),
+           twist_diagonal(a, twist, ctx), grading.total, ctx))
+    return dict(zip(secs, blocks))
+
+
+def horner(coeffs: np.ndarray, z: complex) -> np.ndarray:
+    """sum_k coeffs[k] z^k, by Horner's rule over the leading axis."""
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * z + c
     return out
-
-
-def q_operator(a: int, zeta: complex, n: int, twist: TwistConfig,
-               grading: GradingConfig, ctx: QContext) -> np.ndarray:
-    """Dressed Baxter operator Q_a(zeta) = zeta^{D_a} Q'_a(zeta)."""
-    import cmath
-
-    l = grading.l
-    mat = q_prime(a, zeta, n, twist, grading, ctx)
-    logz = cmath.log(zeta)
-    scale = np.ones((l + 1) ** n, dtype=complex)
-    for label, idxs in sectors(l, n).items():
-        d = dressing_exponent(a, label, twist, grading)
-        scale[idxs] = cmath.exp(d * logz)
-    return scale[:, None] * mat
 
 
 def c_l_diagonal(n: int, twist: TwistConfig, grading: GradingConfig,
@@ -238,7 +254,11 @@ def load_matrix(path: str) -> Tuple[np.ndarray, dict]:
 
 
 class QFamily:
-    """Cache of Baxter operators for one chain (fixed l, n, twist, grading)."""
+    """Baxter operators of one chain (fixed l, n, twist, grading).
+
+    Each Q'_a is built once as sector coefficient stacks (`q_prime`); dense
+    dressed operators are evaluated from them and cached per (a, zeta).
+    """
 
     def __init__(self, n: int, twist: TwistConfig, grading: GradingConfig,
                  ctx: QContext):
@@ -249,6 +269,9 @@ class QFamily:
         self.grading = grading
         self.ctx = QContext(q=ctx.q, tolerance=ctx.tolerance,
                             tau=tuple(twist.tau))
+        self._index = {label: np.array(idxs)
+                       for label, idxs in sectors(grading.l, n).items()}
+        self._coeffs: dict = {}
         self._cache: dict = {}
 
     @property
@@ -260,10 +283,20 @@ class QFamily:
         return (self.l + 1) ** self.n
 
     def q_op(self, a: int, zeta: complex) -> np.ndarray:
-        key = ("q", a, complex(zeta))
+        """Dressed Baxter operator Q_a(zeta) = zeta^{D_a} Q'_a(zeta), dense."""
+        key = (a, complex(zeta))
         if key not in self._cache:
-            self._cache[key] = q_operator(a, zeta, self.n, self.twist,
+            if a not in self._coeffs:
+                self._coeffs[a] = q_prime(a, self.n, self.twist,
                                           self.grading, self.ctx)
+            z = zeta ** self.grading.total
+            logz = cmath.log(zeta)
+            out = np.zeros((self.dim, self.dim), dtype=complex)
+            for label, coeffs in self._coeffs[a].items():
+                d = dressing_exponent(a, label, self.twist, self.grading)
+                idx = self._index[label]
+                out[np.ix_(idx, idx)] = cmath.exp(d * logz) * horner(coeffs, z)
+            self._cache[key] = out
         return self._cache[key]
 
     def shifted(self, a: int, zeta: complex, power) -> np.ndarray:

@@ -134,7 +134,7 @@ def test_criterion_08_r_matrix_cross_check(l, n):
 
 
 @pytest.mark.parametrize("l,n,k", [(1, 2, (1, 1)), (2, 2, (1, 1, 0)),
-                                   (3, 2, (0, 0, 1, 1))])
+                                   (3, 2, (0, 0, 1, 1)), (2, 4, (2, 2, 0))])
 def test_criterion_09_bethe_closure(l, n, k):
     fam = _fam(l, n)
     bs = BetheSystem(fam)

@@ -42,9 +42,45 @@ def test_run_suite_relations_pass():
 def test_run_suite_is_seed_deterministic():
     a = run_suite(RunConfig(l=1, n=1, suites=("relations",), seed=4))
     b = run_suite(RunConfig(l=1, n=1, suites=("relations",), seed=4))
-    a.pop("elapsed_seconds")
-    b.pop("elapsed_seconds")
+    for rep in (a, b):  # wall-clock fields
+        rep.pop("elapsed_seconds")
+        rep.pop("timings")
     assert a == b
+
+
+def test_run_suite_reports_timings_health_and_tolerances():
+    report = run_suite(RunConfig(l=1, n=2))
+    assert set(report["timings"]) == {"relations", "bethe", "lweights"}
+    assert all(t >= 0.0 for t in report["timings"].values())
+    bet = report["bethe"]
+    assert [h["sector"] for h in bet["health"]] == [[0, 2], [1, 1], [2, 0]]
+    for h in bet["health"]:
+        assert h["offdiag_residue"] < 1e-8
+        assert (h["min_separation"] is None) == (h["sector"] != [1, 1])
+    assert bet["failures"] == []
+    assert all(r["tolerance"] == 1e-6 for r in bet["residuals"])
+    assert all(c["tolerance"] == 1e-10 for c in report["lweights"]["cases"])
+
+
+def test_bethe_suite_passes_at_l2_n4():
+    assert run_suite(RunConfig(l=2, n=4, suites=("bethe",)))["passed"]
+
+
+def test_bethe_basis_failure_becomes_report_entry(monkeypatch):
+    from baxq.bethe import BetheSystem
+
+    def broken(self, label):
+        raise ArithmeticError("degenerate sector %s" % (label.k,))
+
+    monkeypatch.setattr(BetheSystem, "_basis", broken)
+    report = run_suite(RunConfig(l=1, n=2, suites=("bethe",)))
+    assert not report["passed"]
+    failures = report["bethe"]["failures"]
+    assert len(failures) == 4  # one per eigenline of the three sectors
+    assert {(tuple(f["sector"]), f["eigenline"]) for f in failures} == {
+        ((0, 2), 0), ((1, 1), 0), ((1, 1), 1), ((2, 0), 0)}
+    assert all(not f["passed"] and "degenerate sector" in f["reason"]
+               for f in failures)
 
 
 def test_verify_writes_report_and_exit_code(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from baxq.qnum import QContext
 from baxq.oscalg import (OscExpr, TracePoleError, TruncatedFock, multiply,
-                         to_truncated, trace_exact, truncated_trace)
+                         to_truncated, trace_exact, trace_powers,
+                         truncated_trace)
 
 CTX = QContext(q=0.7, tau=(3.1, 1.9))
 
@@ -125,6 +126,25 @@ def test_trace_rejects_shift_length_mismatch():
         trace_exact(x, (1, 1), CTX, shifts=[0.5])
     with pytest.raises(ValueError):
         trace_exact(x, (1, 1), CTX, shifts=[0.5, 0.5, 0.5])
+
+
+def test_zeta_powers_add_and_trace_separately():
+    """Powers of zeta add under multiply and are traced apart; substituting
+    a number first gives the same trace at that zeta."""
+    x = OscExpr.q_exponent(1, [2]) + OscExpr.q_exponent(1, [3], 0.5, zpow=1)
+    y = OscExpr.q_exponent(1, [1], -2.0, zpow=2)
+    prod = multiply(x, y, CTX)
+    traces = trace_powers(prod, [1], CTX)
+    assert sorted(traces) == [2, 3]
+    assert traces[2] == pytest.approx(-2.0 * trace_exact(_qn(3), [1], CTX))
+    assert traces[3] == pytest.approx(-1.0 * trace_exact(_qn(4), [1], CTX))
+    zeta = 0.6 - 0.2j
+    at_zeta = sum(v * zeta ** p for p, v in traces.items())
+    assert trace_exact(prod.at(zeta), [1], CTX) == pytest.approx(at_zeta)
+    with pytest.raises(ValueError):
+        trace_exact(prod, [1], CTX)
+    with pytest.raises(ValueError):
+        truncated_trace(prod, [TruncatedFock(10, 1, CTX)])
 
 
 def random_balanced_expr(rng, modes=2, margin=2.5):

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from baxq.borelhoms import module_signs, twist_diagonal
-from baxq.lop import build_L_a
-from baxq.oscalg import trace_exact
+from baxq.borelhoms import TwistConfig, module_signs, twist_diagonal
+from baxq.lop import GradingConfig, build_L_a
+from baxq.oscalg import trace_exact, trace_powers
+from baxq.qnum import QContext
 from baxq.qop import (QFamily, SectorLabel, basis_states, dressing_exponent,
-                      load_matrix, monodromy_entry, op_det, q_prime,
+                      horner, load_matrix, monodromy_entry, op_det, q_prime,
                       save_matrix, sector_of, sectors, state_index)
 
 from conftest import make_setup
@@ -42,24 +43,60 @@ def test_operator_is_sector_block_diagonal():
 @pytest.mark.parametrize("l,n", [(1, 3), (2, 2), (3, 2)])
 def test_q_prime_matches_straight_line_monodromy(l, n):
     """The shared-suffix walk multiplies in the same order as
-    monodromy_entry, so every entry agrees exactly."""
+    monodromy_entry on the zeta-free Lax matrix, so every coefficient of
+    every power agrees exactly."""
     twist, grading, ctx, fam = make_setup(l, n)
-    zeta = 0.57 + 0.21j
+    s = grading.total
     states = basis_states(l, n)
     for a in range(1, l + 2):
-        lop = build_L_a(a, zeta, grading, ctx)
+        lop = build_L_a(a, None, grading, ctx)
         signs = module_signs(a, l)
         shifts = twist_diagonal(a, twist, ctx)
-        ref = np.zeros(((l + 1) ** n,) * 2, dtype=complex)
-        for members in sectors(l, n).values():
-            block = [states[i] for i in members]
-            for row in block:
-                for col in block:
-                    expr = monodromy_entry(lop, row, col, ctx)
-                    ref[state_index(row, l), state_index(col, l)] = \
-                        trace_exact(expr, signs, ctx, shifts)
-        got = q_prime(a, zeta, n, twist, grading, ctx)
-        assert np.array_equal(got, ref), a
+        got = q_prime(a, n, twist, grading, ctx)
+        for label, members in sectors(l, n).items():
+            ref = np.zeros((n + 1, len(members), len(members)), dtype=complex)
+            for i, row in enumerate(members):
+                for j, col in enumerate(members):
+                    expr = monodromy_entry(lop, states[row], states[col], ctx)
+                    for p, val in trace_powers(expr, signs, ctx,
+                                               shifts).items():
+                        assert p % s == 0
+                        ref[p // s, i, j] = val
+            assert np.array_equal(got[label], ref), (a, label)
+
+
+@pytest.mark.parametrize("l,n,s", [(1, 3, (1, 1)), (2, 2, (1, 1, 1)),
+                                   (3, 2, (1, 1, 1, 1)), (1, 3, (1, 2)),
+                                   (2, 2, (2, 1, 1))])
+def test_horner_matches_numeric_trace(l, n, s):
+    """Coefficients evaluated by Horner's rule agree with a trace of the
+    monodromy built at each zeta; each sector block has n+1 coefficients and
+    the straight-line trace puts nothing between sectors."""
+    twist, grading = TwistConfig.default(l), GradingConfig(s)
+    ctx = QContext(q=0.7, tau=twist.tau)
+    states = basis_states(l, n)
+    secs = sectors(l, n)
+    same = np.zeros((len(states),) * 2, dtype=bool)
+    for idxs in secs.values():
+        same[np.ix_(idxs, idxs)] = True
+    for a in range(1, l + 2):
+        coeffs = q_prime(a, n, twist, grading, ctx)
+        for label, idxs in secs.items():
+            assert coeffs[label].shape == (n + 1, len(idxs), len(idxs))
+        signs = module_signs(a, l)
+        shifts = twist_diagonal(a, twist, ctx)
+        for zeta in (0.81, 0.6 + 0.3j):
+            lop = build_L_a(a, zeta, grading, ctx)
+            ref = np.array([[trace_exact(monodromy_entry(lop, row, col, ctx),
+                                         signs, ctx, shifts)
+                             for col in states] for row in states])
+            assert np.all(ref[~same] == 0), (a, zeta)
+            got = np.zeros_like(ref)
+            for label, idxs in secs.items():
+                got[np.ix_(idxs, idxs)] = horner(coeffs[label],
+                                                 zeta ** grading.total)
+            err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-14, (a, zeta, err)
 
 
 def test_q_operators_commute():
@@ -123,10 +160,6 @@ def test_persistence_rejects_unknown_version(tmp_path):
 
 
 def test_family_rejects_rank_mismatch():
-    from baxq.borelhoms import TwistConfig
-    from baxq.lop import GradingConfig
-    from baxq.qnum import QContext
-
     with pytest.raises(ValueError):
         QFamily(1, TwistConfig.default(1), GradingConfig.principal(2),
                 QContext(q=0.7))
