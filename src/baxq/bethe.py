@@ -1,25 +1,33 @@
 """Bethe-root extraction from Q-eigenvalues and nested-equation residuals.
 
-On each weight sector the commuting Baxter family has a common eigenbasis;
-along one eigenline the generalized Q-function is, up to a known power of
-the spectral parameter, a polynomial in z = zeta^s whose degree is the sum
-of the occupation numbers selected by the index tuple.  This module samples
-those eigenvalues on the unit circle |z| = 1, recovers the polynomials by a
-discrete Fourier transform, extracts their roots, and evaluates the nested
-Bethe equations (in their leveled product form and in the generic three-Q
-ratio form) at the extracted roots.  A damped Newton solver for the leveled
-equations is included for cross-checking.
+`QFamily.coefficients(a)` holds Q'_a exactly, as a stack of coefficients in
+z = zeta^s per weight sector.  One eigenbasis per sector diagonalizes every
+slice of every Q'_a; along an eigenline the diagonal is a polynomial of
+degree k_a, and a generalized Q-function (a determinant of shifted Q_a's) is
+a power of zeta times the determinant of shifted scalar polynomials.  These
+are formed and factored without evaluating any operator (`eigenvalue`, the
+dense projection, is the tests' reference).  The nested Bethe equations,
+leveled product form and generic three-Q ratio form, are evaluated at the
+roots; a damped Newton solver for the leveled form cross-checks them.
 """
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qop import QFamily, SectorLabel, dressing_exponent, sectors
+from .qop import QFamily, SectorLabel, dressing_exponent, horner, sectors
+
+# Each sector's basis diagonalizes sum_a GAMMA^(a-1) Q'_a(z_a), z_a = zeta^s
+# with zeta cycling through BASIS_ZETAS.  DIAG_TOL bounds the relative
+# off-diagonal of every slice in that basis, RECON_TOL the relative size of
+# an eigenline's coefficients above degree k_a.
+BASIS_ZETAS = (0.43, 0.67)
+GAMMA = 0.37 + 0.21j
+DIAG_TOL = 1e-8
+RECON_TOL = 1e-7
 
 
 @dataclass
@@ -59,54 +67,56 @@ class BAEReport:
     root_index: int
     root: complex
     residual: float
-    details: dict = field(default_factory=dict)
+    string_gap: Optional[float]
+
+
+def _poly_det(m: list) -> np.ndarray:
+    """Determinant of a matrix of polynomials (ascending coefficients)."""
+    if len(m) == 1:
+        return m[0][0]
+    out = 0
+    for col, entry in enumerate(m[0]):
+        term = np.convolve(entry, _poly_det([r[:col] + r[col + 1:]
+                                             for r in m[1:]]))
+        out = out - term if col % 2 else out + term
+    return out
 
 
 class BetheSystem:
     """Shared-eigenbasis access to the Q-eigenvalues of one chain."""
 
-    def __init__(self, fam: QFamily, basis_zetas: Tuple[float, float] = (0.43, 0.67),
-                 gamma: complex = 0.37 + 0.21j, check_zeta: float = 0.59,
-                 diag_tol: float = 1e-8):
+    def __init__(self, fam: QFamily):
         self.fam = fam
         self._bases: Dict[SectorLabel, tuple] = {}
-        self._basis_zetas = basis_zetas
-        self._gamma = gamma
-        self._check_zeta = check_zeta
-        self._diag_tol = diag_tol
         self._sectors = sectors(fam.l, fam.n)
         # Per sector: smallest eigenvalue separation of the basis operator
         # (relative to its largest eigenvalue; None on a one-line sector)
-        # and worst relative off-diagonal residue of the probed Q_a.
+        # and worst relative off-diagonal of any coefficient slice.
         self.health: Dict[SectorLabel, dict] = {}
 
     def sector_labels(self) -> List[SectorLabel]:
         return list(self._sectors)
 
     def _basis(self, label: SectorLabel) -> tuple:
-        """(indices, V, V^-1) diagonalizing the whole family on the sector."""
+        """(V, V^-1, {a: coefficients of Q'_a, one row per eigenline})."""
         if label in self._bases:
             return self._bases[label]
-        idx = np.array(self._sectors[label])
-
-        def block(a: int, zeta: float) -> np.ndarray:
-            return self.fam.q_op(a, zeta)[np.ix_(idx, idx)]
-
-        ops = range(1, self.fam.l + 2)
-        # A generic combination of every Q_a: on a sector where some Q_a is
-        # scalar (zero occupation k_a), the others still split the spectrum.
-        zs = self._basis_zetas
-        b = sum(self._gamma ** (a - 1) * block(a, zs[(a - 1) % len(zs)])
-                for a in ops)
+        s = self.fam.grading.total
+        stacks = {a: self.fam.coefficients(a)[label]
+                  for a in range(1, self.fam.l + 2)}
+        # Combine every Q'_a: where one is scalar (k_a = 0), the others
+        # still split the spectrum.
+        b = sum(GAMMA ** (a - 1) * horner(c, BASIS_ZETAS[(a - 1) % 2] ** s)
+                for a, c in stacks.items())
         vals, vecs = np.linalg.eig(b)
         vinv = np.linalg.inv(vecs)
-        # The basis must diagonalize members of the family it was not built
-        # from; a failure here means degenerate spectra on this sector.
-        residues = {}
-        for a in ops:
-            d = vinv @ block(a, self._check_zeta) @ vecs
-            off = np.max(np.abs(d - np.diag(np.diag(d))))
-            residues[a] = float(off / max(1.0, np.max(np.abs(d))))
+        residues, coeffs = {}, {}
+        for a, c in stacks.items():
+            d = vinv @ c @ vecs
+            diag = np.diagonal(d, axis1=1, axis2=2)
+            off = np.abs(d - diag[:, :, None] * np.eye(len(vals))).max()
+            residues[a] = float(off / max(np.abs(d).max(), 1e-300))
+            coeffs[a] = diag.T
         worst = max(residues, key=residues.get)
         gaps = np.abs(vals[:, None] - vals[None, :])[
             np.triu_indices(len(vals), 1)]
@@ -116,13 +126,13 @@ class BetheSystem:
                                if gaps.size else None),
             "offdiag_residue": residues[worst],
         }
-        if residues[worst] > self._diag_tol:
-            raise ArithmeticError(
-                "sector %s eigenbasis does not diagonalize Q_%d "
-                "(relative off-diagonal %.2e)" % (label.k, worst,
-                                                  residues[worst])
-            )
-        self._bases[label] = (idx, vecs, vinv)
+        # A basis that leaves some slice non-diagonal means a degenerate
+        # spectrum on this sector.
+        if residues[worst] > DIAG_TOL:
+            raise ArithmeticError("sector %s eigenbasis does not diagonalize "
+                                  "Q_%d (relative off-diagonal %.2e)"
+                                  % (label.k, worst, residues[worst]))
+        self._bases[label] = (vecs, vinv, coeffs)
         return self._bases[label]
 
     def n_lines(self, label: SectorLabel) -> int:
@@ -130,63 +140,71 @@ class BetheSystem:
 
     def eigenvalue(self, a_tuple: Sequence[int], label: SectorLabel,
                    eigenline: int, zeta: complex) -> complex:
-        idx, vecs, vinv = self._basis(label)
+        """Dense reference: the generalized Q at zeta, projected."""
+        vecs, vinv, _ = self._basis(label)
+        idx = np.array(self._sectors[label])
         q = self.fam.generalized_q(tuple(a_tuple), zeta)[np.ix_(idx, idx)]
         return complex(vinv[eigenline] @ q @ vecs[:, eigenline])
 
     def eigen_polynomial(self, a_tuple: Sequence[int], label: SectorLabel,
-                         eigenline: int,
-                         recon_tol: float = 1e-7) -> BethePolynomial:
-        """Recover the eigenline polynomial in z = zeta^s and factor it.
+                         eigenline: int) -> BethePolynomial:
+        """Eigenline polynomial in z = zeta^s of a generalized Q, factored.
 
-        The degree + 1 samples sit at the roots of unity z_t = w^t, where
-        they are the discrete Fourier transform of the coefficients, so the
-        inverse transform recovers them without an ill-conditioned solve
-        (summed directly: with at most n + 1 samples that is as cheap as an
-        FFT, and it spares loading numpy's FFT module).  One eigenvalue at
-        the off-circle point zeta = check_zeta checks the result.
+        With zeta^{D_{a_i}} taken out of row i, entry (i, j) of the
+        determinant has coefficients c_{a_i,k} q^{(p-2j+1)(k + D_{a_i}/s)}.
+        The recorded residual is the relative size of the coefficients
+        dropped above degree k_a.
         """
         at = tuple(a_tuple)
-        s = self.fam.grading.total
-        degree = sum(label.k[a - 1] for a in at)
-        pref = sum(
-            dressing_exponent(a, label, self.fam.twist, self.fam.grading)
-            for a in at
-        )
-
-        def undressed(zeta: complex) -> complex:
-            return (self.eigenvalue(at, label, eigenline, zeta)
-                    / cmath.exp(pref * cmath.log(zeta)))
-
-        m = degree + 1
-        vals = np.array([undressed(cmath.exp(2j * math.pi * t / (m * s)))
-                         for t in range(m)])
-        t = np.arange(m)
-        # Ascending powers of z.
-        coeffs = np.exp(-2j * math.pi * np.outer(t, t) / m) @ vals / m
-        z0 = self._check_zeta ** s
-        direct = undressed(self._check_zeta)
-        scale = max(abs(direct), float(np.polyval(np.abs(coeffs[::-1]),
-                                                  abs(z0))), 1e-300)
-        resid = abs(np.polyval(coeffs[::-1], z0) - direct) / scale
-        if resid > recon_tol:
-            raise ArithmeticError(
-                "eigenline polynomial reconstruction failed "
-                "(degree %d, residual %.2e)" % (degree, resid)
-            )
-        leading = complex(coeffs[-1])
-        roots = [complex(r) for r in np.roots(coeffs[::-1])] if degree else []
-        return BethePolynomial(at, label, eigenline, leading, float(pref),
-                               roots, float(resid))
+        coeffs = self._basis(label)[2]
+        fam, p = self.fam, len(at)
+        s = fam.grading.total
+        pref, resid, rows = 0.0, 0.0, []
+        for a in at:
+            k, c = label.k[a - 1], coeffs[a][eigenline]
+            drop = float(np.abs(c[k + 1:]).max(initial=0.0)
+                         / max(np.abs(c).max(), 1e-300))
+            if drop > RECON_TOL:
+                raise ArithmeticError("Q_%d eigenline polynomial exceeds "
+                                      "degree %d (residual %.2e)"
+                                      % (a, k, drop))
+            resid = max(resid, drop)
+            d = dressing_exponent(a, label, fam.twist, fam.grading)
+            pref += d
+            rows.append([c[:k + 1] * np.array(
+                [fam.ctx.qpow((p - 2 * j + 1) * (e + d / s))
+                 for e in range(k + 1)]) for j in range(1, p + 1)])
+        poly = _poly_det(rows) if rows else np.ones(1, dtype=complex)
+        roots = [complex(r) for r in np.roots(poly[::-1])] if p else []
+        return BethePolynomial(at, label, eigenline, complex(poly[-1]),
+                               pref, roots, resid)
 
     def path_polynomials(self, path: Sequence[int], label: SectorLabel,
                          eigenline: int) -> List[BethePolynomial]:
         """Polynomials of the nested prefixes (a_1), (a_1,a_2), ... of a path."""
-        path = tuple(path)
-        return [
-            self.eigen_polynomial(path[:i], label, eigenline)
-            for i in range(1, len(path))
-        ]
+        return [self.eigen_polynomial(path[:i], label, eigenline)
+                for i in range(1, len(path))]
+
+
+def _leveled_ratio(fam: QFamily, path: Tuple[int, ...], level: int,
+                   zm: complex, prev: list, others: list,
+                   nxt: list) -> complex:
+    """LHS/RHS of the leveled equation at a root zm of `level`: `others`
+    holds the level's other roots, `prev`/`nxt` the adjacent levels'."""
+    ctx = fam.ctx
+    q = ctx.qpow(1)
+    lhs = ctx.qpow(fam.twist.tau[path[level] - 1]
+                   - fam.twist.tau[path[level - 1] - 1])
+    if level == fam.l:
+        lhs *= ((q * zm - 1.0) / (zm - q)) ** fam.n
+    rhs = 1.0 + 0j
+    for w in prev:
+        rhs *= (zm - q * w) / (q * zm - w)
+    for z in others:
+        rhs *= (q * q * zm - z) / (zm - q * q * z)
+    for v in nxt:
+        rhs *= (zm - q * v) / (q * zm - v)
+    return lhs / rhs
 
 
 def bae_residual(path: Sequence[int], level: int,
@@ -197,32 +215,25 @@ def bae_residual(path: Sequence[int], level: int,
     `polys` holds the nested-prefix polynomials of the path (levels 1..l).
     Level 1 has no previous-level product, the last level trades the
     next-level product for the driving term ((q z - 1)/(z - q))^n, and the
-    middle levels carry all three products.
+    middle levels carry all three products.  `string_gap` is the smallest
+    distance, relative to |root|, from the root to a zero or pole of one of
+    those factors (None when there are none).
     """
-    l = fam.l
-    ctx = fam.ctx
-    q = ctx.qpow(1)
     path = tuple(path)
-    self_roots = polys[level - 1].roots
-    zm = self_roots[root_index]
-    lhs = ctx.qpow(fam.twist.tau[path[level] - 1]
-                   - fam.twist.tau[path[level - 1] - 1])
-    if level == l:
-        lhs *= ((q * zm - 1.0) / (zm - q)) ** fam.n
-    rhs = 1.0 + 0j
-    if level > 1:
-        for w in polys[level - 2].roots:
-            rhs *= (zm - q * w) / (q * zm - w)
-    for j, z in enumerate(self_roots):
-        if j != root_index:
-            rhs *= (q * q * zm - z) / (zm - q * q * z)
-    if level < l:
-        for v in polys[level].roots:
-            rhs *= (zm - q * v) / (q * zm - v)
-    resid = abs(lhs / rhs - 1.0)
-    return BAEReport(path, level, root_index, zm, resid,
-                     {"sector": list(polys[level - 1].sector.k),
-                      "eigenline": polys[level - 1].eigenline})
+    cur = polys[level - 1]
+    zm = cur.roots[root_index]
+    prev = polys[level - 2].roots if level > 1 else []
+    others = [z for j, z in enumerate(cur.roots) if j != root_index]
+    nxt = polys[level].roots if level < fam.l else []
+    resid = abs(_leveled_ratio(fam, path, level, zm, prev, others, nxt) - 1.0)
+    # Factors vanish or diverge at z_m = q^{+-2} z_j for another root z_j of
+    # the level and at z_m = q^{+-1} w for a root w of an adjacent level.
+    q = fam.ctx.qpow(1)
+    singular = ([z * f for z in others for f in (q * q, 1 / (q * q))]
+                + [w * f for w in prev + nxt for f in (q, 1 / q)])
+    gap = min((abs(zm - x) / max(abs(zm), 1e-300) for x in singular),
+              default=None)
+    return BAEReport(path, level, root_index, zm, resid, gap)
 
 
 def bae_ratio_residual(prev: BethePolynomial, cur: BethePolynomial,
@@ -267,35 +278,20 @@ def solve_bae_newton(path: Sequence[int], degrees: Sequence[int],
         return [[] for _ in degrees]
 
     def unpack(vec: np.ndarray) -> List[List[complex]]:
-        out, pos = [], 0
-        for d in shapes:
-            out.append([complex(v) for v in vec[pos:pos + d]])
-            pos += d
-        return out
+        parts = np.split(vec, np.cumsum(shapes)[:-1])
+        return [[complex(v) for v in part] for part in parts]
 
     def equations(vec: np.ndarray) -> np.ndarray:
         levels = unpack(vec)
-        ctx = fam.ctx
-        q = ctx.qpow(1)
         eqs = []
         for i in range(1, l + 1):
             cur = levels[i - 1]
+            prev = levels[i - 2] if i > 1 else []
+            nxt = levels[i] if i < l else []
             for m, zm in enumerate(cur):
-                lhs = ctx.qpow(fam.twist.tau[path[i] - 1]
-                               - fam.twist.tau[path[i - 1] - 1])
-                if i == l:
-                    lhs *= ((q * zm - 1.0) / (zm - q)) ** fam.n
-                rhs = 1.0 + 0j
-                if i > 1:
-                    for w in levels[i - 2]:
-                        rhs *= (zm - q * w) / (q * zm - w)
-                for j, z in enumerate(cur):
-                    if j != m:
-                        rhs *= (q * q * zm - z) / (zm - q * q * z)
-                if i < l:
-                    for v in levels[i]:
-                        rhs *= (zm - q * v) / (q * zm - v)
-                eqs.append(cmath.log(lhs / rhs))
+                others = [z for j, z in enumerate(cur) if j != m]
+                eqs.append(cmath.log(
+                    _leveled_ratio(fam, path, i, zm, prev, others, nxt)))
         return np.array(eqs, dtype=complex)
 
     for _ in range(max_iter):

@@ -166,8 +166,7 @@ def _relations_suite(config: RunConfig, fam: QFamily,
     return out
 
 
-def _bethe_suite(config: RunConfig, fam: QFamily,
-                 rng: random.Random) -> dict:
+def _bethe_suite(config: RunConfig, fam: QFamily) -> dict:
     """Roots and nested-equation residuals of every eigenline.
 
     A sector whose eigenbasis or polynomials cannot be formed (an
@@ -203,6 +202,7 @@ def _bethe_suite(config: RunConfig, fam: QFamily,
                         "sector": list(label.k), "eigenline": line,
                         "root": [r.root.real, r.root.imag],
                         "residual": r.residual,
+                        "string_gap": r.string_gap,
                         "tolerance": BETHE_TOLERANCE,
                         "passed": r.residual < BETHE_TOLERANCE,
                     })
@@ -274,7 +274,7 @@ def run_suite(config: RunConfig) -> dict:
         ok = ok and all(r["passed"] for r in rels)
     if "bethe" in config.suites:
         start = time.perf_counter()
-        bet = _bethe_suite(config, fam, rng)
+        bet = _bethe_suite(config, fam)
         timings["bethe"] = time.perf_counter() - start
         report["bethe"] = bet
         ok = (ok and all(r["passed"] for r in bet["residuals"])
@@ -291,31 +291,30 @@ def run_suite(config: RunConfig) -> dict:
     return report
 
 
-def emit_report(report: dict, out_dir: str, csv_summary: bool = True) -> str:
-    """Write report.json (and a CSV summary) into out_dir; returns the path."""
+def emit_report(report: dict, out_dir: str) -> str:
+    """Write report.json and a CSV summary into out_dir; returns the path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
-    if csv_summary:
-        rows = []
-        for r in report.get("relations", []):
-            rows.append(("relation", r["name"], r["residual"], r["passed"]))
-        for r in report.get("bethe", {}).get("residuals", []):
-            rows.append(("bethe", "level-%d" % r["level"], r["residual"],
-                         r["passed"]))
-        for r in report.get("bethe", {}).get("failures", []):
-            rows.append(("bethe", "sector-%s-line-%d" % (
-                "".join(map(str, r["sector"])), r["eigenline"]), "",
-                r["passed"]))
-        for c in report.get("lweights", {}).get("cases", []):
-            rows.append(("lweights", "l=%d" % c["l"], c["product_residual"],
-                         c["passed"]))
-        with open(os.path.join(out_dir, "summary.csv"), "w",
-                  encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["suite", "check", "residual", "passed"])
-            w.writerows(rows)
+    rows = []
+    for r in report.get("relations", []):
+        rows.append(("relation", r["name"], r["residual"], r["passed"]))
+    for r in report.get("bethe", {}).get("residuals", []):
+        rows.append(("bethe", "level-%d" % r["level"], r["residual"],
+                     r["passed"]))
+    for r in report.get("bethe", {}).get("failures", []):
+        rows.append(("bethe", "sector-%s-line-%d" % (
+            "".join(map(str, r["sector"])), r["eigenline"]), "",
+            r["passed"]))
+    for c in report.get("lweights", {}).get("cases", []):
+        rows.append(("lweights", "l=%d" % c["l"], c["product_residual"],
+                     c["passed"]))
+    with open(os.path.join(out_dir, "summary.csv"), "w",
+              encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["suite", "check", "residual", "passed"])
+        w.writerows(rows)
     return path
 
 
@@ -330,10 +329,8 @@ def _dump_matrices(config: RunConfig, out_dir: str) -> None:
 
 
 def _dump_l_json(config: RunConfig) -> dict:
-    twist = TwistConfig(config.resolved_tau())
-    grading = GradingConfig(config.resolved_s())
-    ctx = QContext(q=config.q, tau=twist.tau)
-    lop = build_L(config.zetas[0], grading, ctx)
+    fam = _family(config)
+    lop = build_L(config.zetas[0], fam.grading, fam.ctx)
     entries = {}
     for i in range(1, config.l + 2):
         for j in range(1, config.l + 2):
@@ -349,7 +346,7 @@ def _dump_l_json(config: RunConfig) -> dict:
                 for (key, _), c in expr.terms
             ]
     return {
-        "l": config.l, "zeta": config.zetas[0], "s": list(grading.s),
+        "l": config.l, "zeta": config.zetas[0], "s": list(fam.grading.s),
         "entries": entries,
     }
 
@@ -424,30 +421,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cfg = _build_config(args)
     out_dir = cfg.out or "baxq-out"
 
-    if args.command == "verify":
+    if args.command in ("verify", "bethe", "lweights"):
+        if args.command != "verify":
+            cfg.suites = (args.command,)
         report = run_suite(cfg)
         path = emit_report(report, out_dir)
-        if cfg.dump_matrices:
-            _dump_matrices(cfg, out_dir)
-        print("report written to %s (passed=%s)" % (path, report["passed"]))
-        return 0 if report["passed"] else 1
-
-    if args.command == "bethe":
-        cfg.suites = ("bethe",)
-        report = run_suite(cfg)
-        path = emit_report(report, out_dir)
-        bet = report["bethe"]
-        bad = [r for r in bet["residuals"] if not r["passed"]]
-        print("report written to %s (%d residuals, %d failing, %d eigenlines "
-              "failed)" % (path, len(bet["residuals"]), len(bad),
-                           len(bet["failures"])))
-        return 0 if report["passed"] else 1
-
-    if args.command == "lweights":
-        cfg.suites = ("lweights",)
-        report = run_suite(cfg)
-        path = emit_report(report, out_dir)
-        print("report written to %s (passed=%s)" % (path, report["passed"]))
+        if args.command == "bethe":
+            bet = report["bethe"]
+            bad = [r for r in bet["residuals"] if not r["passed"]]
+            print("report written to %s (%d residuals, %d failing, %d "
+                  "eigenlines failed)" % (path, len(bet["residuals"]),
+                                          len(bad), len(bet["failures"])))
+        else:
+            if args.command == "verify" and cfg.dump_matrices:
+                _dump_matrices(cfg, out_dir)
+            print("report written to %s (passed=%s)" % (path,
+                                                        report["passed"]))
         return 0 if report["passed"] else 1
 
     if args.command == "dump-l":

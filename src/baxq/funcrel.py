@@ -44,6 +44,15 @@ def _rel_residual(lhs: np.ndarray, *scale_refs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs))) / max(scale, _FLOOR)
 
 
+def _alternating_residual(terms) -> float:
+    """|sum_b (-1)^b term_b| relative to the largest term."""
+    acc, biggest = 0, 0.0
+    for b, term in enumerate(terms):
+        acc = acc - term if b % 2 else acc + term
+        biggest = max(biggest, float(np.max(np.abs(term))))
+    return float(np.max(np.abs(acc))) / max(biggest, _FLOOR)
+
+
 class TransferFromQ:
     """Determinant reconstruction of transfer operators from a Q-family."""
 
@@ -132,16 +141,9 @@ def check_master_tq(tq: TransferFromQ, a: int, mu: Sequence, zeta: complex,
     l = fam.l
     if len(mu) != l + 2:
         raise ValueError("mu must have l + 2 components")
-    acc = np.zeros((fam.dim, fam.dim), dtype=complex)
-    biggest = 0.0
-    for b in range(l + 2):
-        rest = [mu[c] for c in range(l + 2) if c != b]
-        term = tq.s_op(rest, zeta) @ fam.shifted(a, zeta, 2 * Fraction(mu[b]))
-        if b % 2:
-            term = -term
-        acc += term
-        biggest = max(biggest, float(np.max(np.abs(term))))
-    resid = float(np.max(np.abs(acc))) / max(biggest, _FLOOR)
+    resid = _alternating_residual(
+        tq.s_op([mu[c] for c in range(l + 2) if c != b], zeta)
+        @ fam.shifted(a, zeta, 2 * Fraction(mu[b])) for b in range(l + 2))
     return RelationReport("master-tq", resid, tolerance,
                           {"a": a, "mu": list(map(str, mu)), "zeta": str(zeta)})
 
@@ -153,16 +155,9 @@ def check_master_tt(tq: TransferFromQ, mu: Sequence, zeta: complex,
     if len(mu) != 2 * l + 2:
         raise ValueError("mu must have 2l + 2 components")
     head, tail = mu[: l + 2], mu[l + 2:]
-    acc = np.zeros((tq.fam.dim, tq.fam.dim), dtype=complex)
-    biggest = 0.0
-    for b in range(l + 2):
-        rest = [head[c] for c in range(l + 2) if c != b]
-        term = tq.s_op(rest, zeta) @ tq.s_op([head[b]] + list(tail), zeta)
-        if (b + 1) % 2:
-            term = -term
-        acc += term
-        biggest = max(biggest, float(np.max(np.abs(term))))
-    resid = float(np.max(np.abs(acc))) / max(biggest, _FLOOR)
+    resid = _alternating_residual(
+        tq.s_op([head[c] for c in range(l + 2) if c != b], zeta)
+        @ tq.s_op([head[b]] + list(tail), zeta) for b in range(l + 2))
     return RelationReport("master-tt", resid, tolerance,
                           {"mu": list(map(str, mu)), "zeta": str(zeta)})
 

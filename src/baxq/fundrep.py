@@ -116,8 +116,11 @@ class RMatrix:
     residual: float
 
 
-def solve_intertwiner(rep1: FundRep, rep2: FundRep,
-                      rtol: float = 1e-10) -> RMatrix:
+# Singular values below this fraction of the largest count as null.
+NULL_RTOL = 1e-10
+
+
+def solve_intertwiner(rep1: FundRep, rep2: FundRep) -> RMatrix:
     """Solve R Delta(x) = Delta_op(x) R for all Chevalley generators.
 
     The solution space must be one-dimensional; the representative is
@@ -140,7 +143,7 @@ def solve_intertwiner(rep1: FundRep, rep2: FundRep,
     # Only vh is used; with more rows than columns the reduced SVD has the
     # same singular values and vh, without the large unused U.
     _, sv, vh = np.linalg.svd(m, full_matrices=False)
-    small = sv < rtol * sv[0]
+    small = sv < NULL_RTOL * sv[0]
     nullity = int(np.count_nonzero(small)) + (m.shape[1] - len(sv))
     vec = vh[-1].conj()
     r = vec.reshape(d2, d2)

@@ -153,9 +153,19 @@ def weight_shift(mu: Sequence[float], l: int) -> Tuple[float, ...]:
 def shifted_product_component(mu: Sequence[float], i: int,
                               l: int) -> FactorRatio:
     """Product over a of the a-th oscillator component at q^{2(mu_a+rho_a)/s} zeta."""
+    return _shifted_product(mu, i, l, _vacuum(l))
+
+
+def _vacuum(l: int) -> List[LWeight]:
+    """Weight data of the l + 1 oscillator modules at zero occupation."""
+    return [osc_psi(a, (0,) * l, l) for a in range(1, l + 2)]
+
+
+def _shifted_product(mu: Sequence[float], i: int, l: int,
+                     vacuum: Sequence[LWeight]) -> FactorRatio:
     out = FactorRatio.one()
-    for a in range(1, l + 2):
-        comp = osc_psi(a, (0,) * l, l).plus_components[i - 1]
+    for a, psi in enumerate(vacuum, 1):
+        comp = psi.plus_components[i - 1]
         out = out * comp.shifted(2 * mu[a - 1] + l - 2 * a + 2)
     return out
 
@@ -170,15 +180,15 @@ def check_shifted_product(mu: Sequence[float], zeta: complex, u: complex,
     """
     s = l + 1
     target = highest_lweight(mu, l)
+    vacuum = _vacuum(l)
     comp_resid = 0.0
     for i in range(1, l + 1):
-        lhs = shifted_product_component(mu, i, l).value(zeta, u, s, ctx)
+        lhs = _shifted_product(mu, i, l, vacuum).value(zeta, u, s, ctx)
         rhs = target.plus_components[i - 1].value(zeta, u, s, ctx)
         comp_resid = max(comp_resid, abs(lhs / rhs - 1.0))
     total = [0.0] * l
-    for a in range(1, l + 2):
-        w = osc_psi(a, (0,) * l, l).weight
-        total = [x + y for x, y in zip(total, w)]
+    for psi in vacuum:
+        total = [x + y for x, y in zip(total, psi.weight)]
     delta = weight_shift(mu, l)
     weight_resid = max(
         abs(t - (w0 + d))

@@ -50,8 +50,11 @@ def q_number(nu, ctx: QContext) -> complex:
     return (ctx.qpow(nu) - ctx.qpow(-nu)) / ctx.kappa
 
 
-def f_series(rank_plus_one: int, z: complex, ctx: QContext,
-             max_terms: int = 100000) -> complex:
+# Terms summed by `f_series` before it gives up.
+F_SERIES_MAX_TERMS = 100000
+
+
+def f_series(rank_plus_one: int, z: complex, ctx: QContext) -> complex:
     """sum_{n>=1} z^n / (n [rank_plus_one]_{q^n}), convergent for |z| < 1.
 
     Satisfies sum_{j=1}^{L} F(q^{L-2j+1} z) = -log(1 - z) with
@@ -61,13 +64,14 @@ def f_series(rank_plus_one: int, z: complex, ctx: QContext,
         raise ValueError("series diverges for |z| >= 1 (got |z|=%g)" % abs(z))
     total = 0.0 + 0j
     zn = 1.0 + 0j
-    for n in range(1, max_terms + 1):
+    for n in range(1, F_SERIES_MAX_TERMS + 1):
         zn *= z
         term = zn / (n * _q_int(rank_plus_one, n, ctx))
         total += term
         if abs(term) < ctx.tolerance * max(1.0, abs(total)):
             return total
-    raise RuntimeError("series did not converge within %d terms" % max_terms)
+    raise RuntimeError("series did not converge within %d terms"
+                       % F_SERIES_MAX_TERMS)
 
 
 def _q_int(m: int, n: int, ctx: QContext) -> complex:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -197,21 +198,21 @@ def c_l_diagonal(n: int, twist: TwistConfig, grading: GradingConfig,
     return diag
 
 
-def op_det(blocks: list, row: int = 0) -> np.ndarray:
+def op_det(blocks: list) -> np.ndarray:
     """Determinant of a matrix of mutually commuting operators.
 
-    Cofactor expansion along the given row; entries are dense ndarrays.
+    Cofactor expansion along the first row; entries are dense ndarrays.
     """
     p = len(blocks)
     if p == 1:
         return blocks[0][0]
     out = None
     for col in range(p):
-        entry = blocks[row][col]
+        entry = blocks[0][col]
         minor = [[blocks[r][c] for c in range(p) if c != col]
-                 for r in range(p) if r != row]
+                 for r in range(1, p)]
         term = entry @ op_det(minor)
-        if (row + col) % 2:
+        if col % 2:
             term = -term
         out = term if out is None else out + term
     return out
@@ -226,8 +227,6 @@ def save_matrix(path: str, mat: np.ndarray, meta: dict) -> None:
     The sidecar (path + ".json") records the shape, dtype, format version
     and whatever run metadata (l, n, zeta, tau, grading, ...) is supplied.
     """
-    import json
-
     arr = np.ascontiguousarray(mat, dtype=np.complex128)
     arr.tofile(path)
     sidecar = dict(meta)
@@ -242,8 +241,6 @@ def save_matrix(path: str, mat: np.ndarray, meta: dict) -> None:
 
 def load_matrix(path: str) -> Tuple[np.ndarray, dict]:
     """Read a matrix written by `save_matrix`; returns (matrix, sidecar)."""
-    import json
-
     with open(path + ".json", encoding="utf-8") as f:
         meta = json.load(f)
     if meta.get("format_version") != MATRIX_FORMAT_VERSION:
@@ -282,17 +279,21 @@ class QFamily:
     def dim(self) -> int:
         return (self.l + 1) ** self.n
 
+    def coefficients(self, a: int) -> Dict[SectorLabel, np.ndarray]:
+        """Q'_a as per-sector coefficient stacks (`q_prime`), built once."""
+        if a not in self._coeffs:
+            self._coeffs[a] = q_prime(a, self.n, self.twist, self.grading,
+                                      self.ctx)
+        return self._coeffs[a]
+
     def q_op(self, a: int, zeta: complex) -> np.ndarray:
         """Dressed Baxter operator Q_a(zeta) = zeta^{D_a} Q'_a(zeta), dense."""
         key = (a, complex(zeta))
         if key not in self._cache:
-            if a not in self._coeffs:
-                self._coeffs[a] = q_prime(a, self.n, self.twist,
-                                          self.grading, self.ctx)
             z = zeta ** self.grading.total
             logz = cmath.log(zeta)
             out = np.zeros((self.dim, self.dim), dtype=complex)
-            for label, coeffs in self._coeffs[a].items():
+            for label, coeffs in self.coefficients(a).items():
                 d = dressing_exponent(a, label, self.twist, self.grading)
                 idx = self._index[label]
                 out[np.ix_(idx, idx)] = cmath.exp(d * logz) * horner(coeffs, z)
@@ -305,8 +306,8 @@ class QFamily:
         shift = self.ctx.qpow(float(power) / s)
         return self.q_op(a, shift * zeta)
 
-    def generalized_q(self, a_tuple: Sequence[int], zeta: complex,
-                      row: int = 0) -> np.ndarray:
+    def generalized_q(self, a_tuple: Sequence[int],
+                      zeta: complex) -> np.ndarray:
         """det( Q_{a_i}(q^{(p - 2j + 1)/s} zeta) )_{i,j=1..p}; empty -> 1."""
         p = len(a_tuple)
         if p == 0:
@@ -316,7 +317,7 @@ class QFamily:
              for j in range(p)]
             for i in range(p)
         ]
-        return op_det(blocks, row=row)
+        return op_det(blocks)
 
     def c_l(self) -> np.ndarray:
         return c_l_diagonal(self.n, self.twist, self.grading, self.ctx)

@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
-from baxq.bethe import (BetheSystem, bae_ratio_residual, bae_residual,
-                        solve_bae_newton)
-from baxq.qop import SectorLabel
+from baxq.bethe import (BethePolynomial, BetheSystem, bae_ratio_residual,
+                        bae_residual, solve_bae_newton)
+from baxq.borelhoms import TwistConfig
+from baxq.lop import GradingConfig
+from baxq.qnum import QContext
+from baxq.qop import QFamily, SectorLabel
 
 from conftest import make_setup
 
@@ -82,3 +85,45 @@ def test_permuted_path_also_closes():
 def test_sector_labels_cover_chain(sys12):
     labels = sys12.sector_labels()
     assert sum(sys12.n_lines(lb) for lb in labels) == sys12.fam.dim
+
+
+@pytest.mark.parametrize("l,n,s", [(1, 3, (1, 1)), (2, 2, (1, 1, 1)),
+                                   (3, 2, (1, 1, 1, 1)), (2, 2, (2, 1, 1))])
+def test_prefix_polynomials_match_dense_eigenvalues(l, n, s):
+    """The polynomials read off the coefficient stacks reproduce the
+    eigenvalues of the dense dressed generalized Q, on and off the real
+    axis."""
+    twist, grading = TwistConfig.default(l), GradingConfig(s)
+    bs = BetheSystem(QFamily(n, twist, grading,
+                             QContext(q=0.7, tau=twist.tau)))
+    path = tuple(range(1, l + 2))
+    for label in bs.sector_labels():
+        for line in range(bs.n_lines(label)):
+            for poly in bs.path_polynomials(path, label, line):
+                for zeta in (0.59, 0.6 + 0.3j):
+                    direct = bs.eigenvalue(poly.a_tuple, label, line, zeta)
+                    err = abs(poly.value(zeta, s=grading.total) - direct)
+                    assert err <= 1e-10 * abs(direct), \
+                        (label.k, line, poly.a_tuple, zeta, err)
+
+
+def test_string_gap_measures_distance_to_factor_singularities():
+    """The gap is the distance, relative to the root, to the nearest point
+    q^{+-2} z_j (same level) or q^{+-1} w (adjacent level) where a factor
+    of the product form vanishes or diverges."""
+    fam = make_setup(2, 2)[3]
+    q = fam.ctx.qpow(1)
+
+    def poly(roots):
+        return BethePolynomial((1,), SectorLabel((1, 1, 0)), 0, 1.0, 0.0,
+                               roots, 0.0)
+
+    w = 0.4 + 0.1j
+    near = [poly([w]), poly([q * w * (1 + 1e-9)])]
+    assert bae_residual((1, 2, 3), 2, near, 0, fam).string_gap \
+        == pytest.approx(1e-9, rel=1e-5)
+    string = [poly([w, q * q * w * (1 + 1e-13)]), poly([0.9])]
+    assert bae_residual((1, 2, 3), 1, string, 0, fam).string_gap \
+        == pytest.approx(1e-13, rel=1e-2)
+    lone = make_setup(1, 1)[3]
+    assert bae_residual((1, 2), 1, [poly([w])], 0, lone).string_gap is None

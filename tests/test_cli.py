@@ -66,6 +66,26 @@ def test_bethe_suite_passes_at_l2_n4():
     assert run_suite(RunConfig(l=2, n=4, suites=("bethe",)))["passed"]
 
 
+def test_bethe_failures_at_l1_n6_are_exact_strings():
+    """(1, 6) fails two Bethe residuals: their roots form an exact 2-string,
+    where the leveled product form is 0/0.  Exactly those entries have a
+    string gap below 1e-10; passing near-strings stay far above it."""
+    report = run_suite(RunConfig(l=1, n=6, suites=("bethe",)))
+    res = report["bethe"]["residuals"]
+    failing = [r for r in res if not r["passed"]]
+    assert len(failing) == 2 and not report["bethe"]["failures"]
+    assert all(r["sector"] == [3, 3] and r["level"] == 1 for r in failing)
+    tight = [r for r in res
+             if r["string_gap"] is not None and r["string_gap"] < 1e-10]
+    assert tight == failing
+    for l, n in ((1, 7), (2, 4)):
+        res = run_suite(RunConfig(l=l, n=n, suites=("bethe",)))["bethe"][
+            "residuals"]
+        assert all(r["passed"] for r in res)
+        assert min(r["string_gap"] for r in res
+                   if r["string_gap"] is not None) > 1e-8
+
+
 def test_bethe_basis_failure_becomes_report_entry(monkeypatch):
     from baxq.bethe import BetheSystem
 

@@ -99,6 +99,22 @@ def test_horner_matches_numeric_trace(l, n, s):
             assert err <= 1e-14, (a, zeta, err)
 
 
+@pytest.mark.parametrize("l,n,s", [(1, 4, (1, 1)), (2, 3, (1, 1, 1)),
+                                   (3, 2, (1, 1, 1, 1)), (1, 3, (1, 2)),
+                                   (2, 2, (2, 1, 1))])
+def test_coefficients_vanish_above_occupation(l, n, s):
+    """On sector k, Q'_a is a polynomial of degree k_a in z: every slice
+    above k_a is exactly zero, and `coefficients` is what q_op evaluates."""
+    twist, grading = TwistConfig.default(l), GradingConfig(s)
+    fam = QFamily(n, twist, grading, QContext(q=0.7, tau=twist.tau))
+    for a in range(1, l + 2):
+        stacks = fam.coefficients(a)
+        for label, c in stacks.items():
+            assert np.all(c[label.k[a - 1] + 1:] == 0), (a, label)
+        fam.q_op(a, 0.5)
+        assert fam.coefficients(a) is stacks
+
+
 def test_q_operators_commute():
     twist, grading, ctx, fam = make_setup(1, 2)
     a = fam.q_op(1, 0.41)
