@@ -13,12 +13,14 @@ roots; a damped Newton solver for the leveled form cross-checks them.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qop import QFamily, SectorLabel, dressing_exponent, horner, sectors
+from .qop import (QFamily, SectorLabel, dressing_exponent, horner, op_det,
+                  sectors)
 
 # Each sector's basis diagonalizes sum_a GAMMA^(a-1) Q'_a(z_a), z_a = zeta^s
 # with zeta cycling through BASIS_ZETAS.  DIAG_TOL bounds the relative
@@ -68,18 +70,6 @@ class BAEReport:
     root: complex
     residual: float
     string_gap: Optional[float]
-
-
-def _poly_det(m: list) -> np.ndarray:
-    """Determinant of a matrix of polynomials (ascending coefficients)."""
-    if len(m) == 1:
-        return m[0][0]
-    out = 0
-    for col, entry in enumerate(m[0]):
-        term = np.convolve(entry, _poly_det([r[:col] + r[col + 1:]
-                                             for r in m[1:]]))
-        out = out - term if col % 2 else out + term
-    return out
 
 
 class BetheSystem:
@@ -174,7 +164,7 @@ class BetheSystem:
             rows.append([c[:k + 1] * np.array(
                 [fam.ctx.qpow((p - 2 * j + 1) * (e + d / s))
                  for e in range(k + 1)]) for j in range(1, p + 1)])
-        poly = _poly_det(rows) if rows else np.ones(1, dtype=complex)
+        poly = op_det(rows, np.convolve) if rows else np.ones(1, dtype=complex)
         roots = [complex(r) for r in np.roots(poly[::-1])] if p else []
         return BethePolynomial(at, label, eigenline, complex(poly[-1]),
                                pref, roots, resid)
@@ -217,7 +207,8 @@ def bae_residual(path: Sequence[int], level: int,
     next-level product for the driving term ((q z - 1)/(z - q))^n, and the
     middle levels carry all three products.  `string_gap` is the smallest
     distance, relative to |root|, from the root to a zero or pole of one of
-    those factors (None when there are none).
+    those factors (None when there are none).  A root exactly on such a
+    point, where a factor is 0 or infinite, has an infinite residual.
     """
     path = tuple(path)
     cur = polys[level - 1]
@@ -225,7 +216,11 @@ def bae_residual(path: Sequence[int], level: int,
     prev = polys[level - 2].roots if level > 1 else []
     others = [z for j, z in enumerate(cur.roots) if j != root_index]
     nxt = polys[level].roots if level < fam.l else []
-    resid = abs(_leveled_ratio(fam, path, level, zm, prev, others, nxt) - 1.0)
+    try:
+        resid = abs(_leveled_ratio(fam, path, level, zm, prev, others, nxt)
+                    - 1.0)
+    except ZeroDivisionError:
+        resid = math.inf
     # Factors vanish or diverge at z_m = q^{+-2} z_j for another root z_j of
     # the level and at z_m = q^{+-1} w for a root w of an adjacent level.
     q = fam.ctx.qpow(1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -37,11 +38,19 @@ from .qop import QFamily, save_matrix, sectors
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("relations", "bethe", "lweights")
-# Pass bounds of the Bethe residuals |LHS/RHS - 1| and of the l-weight
-# product and weight residuals; the relation checks take theirs from
-# `RunConfig.tolerance` or their own defaults.
-BETHE_TOLERANCE = 1e-6
-LWEIGHT_TOLERANCE = 1e-10
+# Pass bounds: an entry passes when its residual lies below the bound of its
+# kind.  "relations" covers every relation entry but the R-matrix
+# comparison, "bethe" the residuals |LHS/RHS - 1| and "lweights" the product
+# and weight residuals.
+TOLERANCES = {
+    "relations": 1e-8,
+    "direct-transfer": 1e-6,
+    "bethe": 1e-6,
+    "lweights": 1e-10,
+}
+# Spectral parameters the relations are sampled at; the first one also
+# serves `--dump-matrices` and `dump-l`.
+ZETAS = (0.55, 0.35)
 
 
 @dataclass
@@ -53,8 +62,6 @@ class RunConfig:
     q: float = 0.7
     tau: Optional[Tuple[float, ...]] = None
     s: Optional[Tuple[int, ...]] = None
-    zetas: Tuple[float, ...] = (0.55, 0.35)
-    tolerance: float = 1e-8
     suites: Tuple[str, ...] = ALL_SUITES
     seed: int = 0
     out: Optional[str] = None
@@ -107,8 +114,6 @@ class RunConfig:
             "l": self.l, "n": self.n, "q": self.q,
             "tau": list(self.resolved_tau()),
             "s": list(self.resolved_s()),
-            "zetas": list(self.zetas),
-            "tolerance": self.tolerance,
             "suites": list(self.suites),
             "seed": self.seed,
         }
@@ -121,12 +126,13 @@ def _family(config: RunConfig) -> QFamily:
     return QFamily(config.n, twist, grading, ctx)
 
 
-def _report_entry(rep: funcrel.RelationReport) -> dict:
+def _report_entry(rep: funcrel.RelationReport,
+                  tolerance: float = TOLERANCES["relations"]) -> dict:
     return {
         "name": rep.name,
         "residual": rep.residual,
-        "tolerance": rep.tolerance,
-        "passed": rep.passed,
+        "tolerance": tolerance,
+        "passed": rep.residual < tolerance,
         "details": rep.details,
     }
 
@@ -134,35 +140,34 @@ def _report_entry(rep: funcrel.RelationReport) -> dict:
 def _relations_suite(config: RunConfig, fam: QFamily,
                      rng: random.Random) -> List[dict]:
     tq = funcrel.TransferFromQ(fam)
-    tol = config.tolerance
     l = config.l
-    out: List[dict] = []
-    z0 = config.zetas[0]
-    z_small = min(config.zetas)
-    out.append(_report_entry(funcrel.check_unit_q(fam, z0, tol)))
+    z0, z_small = ZETAS[0], min(ZETAS)
+    reps = [funcrel.check_unit_q(fam, z0)]
     # Distinct weight entries keep the antisymmetrized terms nonzero, so
     # the residual normalization is meaningful.
     mu = rng.sample(range(0, l + 5), l + 2)
-    out.append(_report_entry(funcrel.check_master_tq(tq, 1, mu, z0, tol)))
+    reps.append(funcrel.check_master_tq(tq, 1, mu, z0))
     mu2 = rng.sample(range(0, 2 * l + 6), 2 * l + 2)
-    out.append(_report_entry(funcrel.check_master_tt(tq, mu2, z0, tol)))
-    out.append(_report_entry(funcrel.check_t_system(tq, 1, 1, z0, tol)))
-    out.append(_report_entry(funcrel.check_jacobi_trudi(tq, 1, 2, z_small,
-                                                        tol)))
-    out.append(_report_entry(funcrel.check_qq_jacobi(fam, (), 1, 2, z0, tol)))
+    reps.append(funcrel.check_master_tt(tq, mu2, z0))
+    reps.append(funcrel.check_t_system(tq, 1, 1, z0))
+    reps.append(funcrel.check_jacobi_trudi(tq, 1, 2, z_small))
+    reps.append(funcrel.check_qq_jacobi(fam, (), 1, 2, z0))
     nu = rng.randrange(1, 3)
     mu3 = sorted(rng.sample(range(0, l + 4), l + 1), reverse=True)
-    for rep in funcrel.check_t_symmetries(tq, mu3, nu, z0, 1, tol):
-        out.append(_report_entry(rep))
-    out.append(_report_entry(funcrel.check_direct_vs_q(tq, z0)))
-    ybe = yang_baxter_residual(fam.grading, fam.ctx, 0.5, 0.9, 1.3)
-    out.append(_report_entry(funcrel.RelationReport("yang-baxter", ybe, tol)))
-    q1 = fam.q_op(1, config.zetas[0])
-    q2 = fam.q_op(min(2, l + 1), config.zetas[-1])
+    reps += funcrel.check_t_symmetries(tq, mu3, nu, z0, 1)
+    out = [_report_entry(rep) for rep in reps]
+    out.append(_report_entry(funcrel.check_direct_vs_q(tq, z0),
+                             TOLERANCES["direct-transfer"]))
+    zs = (0.5, 0.9, 1.3)
+    ybe = yang_baxter_residual(fam.grading, fam.ctx, *zs)
+    out.append(_report_entry(funcrel.RelationReport(
+        "yang-baxter", ybe, {"zetas": list(zs)})))
+    a2 = min(2, l + 1)
+    q1, q2 = fam.q_op(1, ZETAS[0]), fam.q_op(a2, ZETAS[-1])
     comm = float(np.max(np.abs(q1 @ q2 - q2 @ q1))
                  / max(np.max(np.abs(q1 @ q2)), 1e-300))
-    out.append(_report_entry(funcrel.RelationReport("q-commutativity", comm,
-                                                    tol)))
+    out.append(_report_entry(funcrel.RelationReport(
+        "q-commutativity", comm, {"a": [1, a2], "zetas": list(ZETAS)})))
     return out
 
 
@@ -197,15 +202,21 @@ def _bethe_suite(config: RunConfig, fam: QFamily) -> dict:
             for i in range(1, l + 1):
                 for m in range(len(polys[i - 1].roots)):
                     r = bae_residual(path, i, polys, m, fam)
-                    residuals.append({
+                    entry = {
                         "path": list(path), "level": i, "root_index": m,
                         "sector": list(label.k), "eigenline": line,
                         "root": [r.root.real, r.root.imag],
                         "residual": r.residual,
                         "string_gap": r.string_gap,
-                        "tolerance": BETHE_TOLERANCE,
-                        "passed": r.residual < BETHE_TOLERANCE,
-                    })
+                        "tolerance": TOLERANCES["bethe"],
+                        "passed": r.residual < TOLERANCES["bethe"],
+                    }
+                    if math.isinf(r.residual):
+                        # JSON has no infinity: no residual, and the reason.
+                        entry["residual"] = None
+                        entry["reason"] = ("root lies on a zero or pole of "
+                                           "a product-form factor")
+                    residuals.append(entry)
     health = [dict(sector=list(label.k), **h)
               for label, h in sorted(bs.health.items(),
                                      key=lambda item: item[0].k)]
@@ -239,9 +250,9 @@ def _lweights_suite(config: RunConfig, rng: random.Random) -> dict:
             "product_residual": worst_c,
             "weight_residual": worst_w,
             "structural_independence": structural,
-            "tolerance": LWEIGHT_TOLERANCE,
-            "passed": (worst_c < LWEIGHT_TOLERANCE
-                       and worst_w < LWEIGHT_TOLERANCE and structural),
+            "tolerance": TOLERANCES["lweights"],
+            "passed": (worst_c < TOLERANCES["lweights"]
+                       and worst_w < TOLERANCES["lweights"] and structural),
         })
     return {"cases": results}
 
@@ -321,7 +332,7 @@ def emit_report(report: dict, out_dir: str) -> str:
 def _dump_matrices(config: RunConfig, out_dir: str) -> None:
     fam = _family(config)
     meta = config.to_dict()
-    z = config.zetas[0]
+    z = ZETAS[0]
     for a in range(1, config.l + 2):
         m = fam.q_op(a, z)
         save_matrix(os.path.join(out_dir, "q_%d.bin" % a), m,
@@ -330,7 +341,7 @@ def _dump_matrices(config: RunConfig, out_dir: str) -> None:
 
 def _dump_l_json(config: RunConfig) -> dict:
     fam = _family(config)
-    lop = build_L(config.zetas[0], fam.grading, fam.ctx)
+    lop = build_L(ZETAS[0], fam.grading, fam.ctx)
     entries = {}
     for i in range(1, config.l + 2):
         for j in range(1, config.l + 2):
@@ -346,7 +357,7 @@ def _dump_l_json(config: RunConfig) -> dict:
                 for (key, _), c in expr.terms
             ]
     return {
-        "l": config.l, "zeta": config.zetas[0], "s": list(fam.grading.s),
+        "l": config.l, "zeta": ZETAS[0], "s": list(fam.grading.s),
         "entries": entries,
     }
 
@@ -418,12 +429,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _add_common(p_dump)
 
     args = parser.parse_args(argv)
-    cfg = _build_config(args)
+    try:
+        cfg = _build_config(args)
+        if args.command in ALL_SUITES:
+            cfg.suites = (args.command,)
+        cfg.validate()
+    except ValueError as exc:
+        print("baxq: error: %s" % exc, file=sys.stderr)
+        return 2
     out_dir = cfg.out or "baxq-out"
 
     if args.command in ("verify", "bethe", "lweights"):
-        if args.command != "verify":
-            cfg.suites = (args.command,)
         report = run_suite(cfg)
         path = emit_report(report, out_dir)
         if args.command == "bethe":
@@ -440,7 +456,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if report["passed"] else 1
 
     if args.command == "dump-l":
-        cfg.validate()
         doc = _dump_l_json(cfg)
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "l_operator.json")

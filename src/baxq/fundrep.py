@@ -158,39 +158,31 @@ def solve_intertwiner(rep1: FundRep, rep2: FundRep) -> RMatrix:
     return RMatrix(r, nullity, resid)
 
 
+def _on_legs(r4: np.ndarray, x: np.ndarray, pa: int, pb: int) -> np.ndarray:
+    """R on legs (pa, pb) applied to x, a tensor whose leading axes are legs.
+
+    `r4` is the intertwiner reshaped to (out_a, out_b, in_a, in_b); R's
+    output legs take the positions of the two contracted axes of x.
+    """
+    return np.moveaxis(np.tensordot(r4, x, axes=([2, 3], [pa, pb])),
+                       (0, 1), (pa, pb))
+
+
 def yang_baxter_residual(g: GradingConfig, ctx: QContext,
                          z1: complex, z2: complex, z3: complex) -> float:
     """|R12 R13 R23 - R23 R13 R12| on the triple product, normalized."""
     d = g.l + 1
     reps = [FundRep(z, g, ctx) for z in (z1, z2, z3)]
-    r12 = solve_intertwiner(reps[0], reps[1]).matrix
-    r13 = solve_intertwiner(reps[0], reps[2]).matrix
-    r23 = solve_intertwiner(reps[1], reps[2]).matrix
-    m12 = _embed_pair(r12, d, 3, 0, 1)
-    m13 = _embed_pair(r13, d, 3, 0, 2)
-    m23 = _embed_pair(r23, d, 3, 1, 2)
-    lhs = m12 @ m13 @ m23
-    rhs = m23 @ m13 @ m12
+    r = {(a, b): solve_intertwiner(reps[a], reps[b]).matrix.reshape((d,) * 4)
+         for a, b in ((0, 1), (0, 2), (1, 2))}
+    eye = np.eye(d ** 3, dtype=complex).reshape((d,) * 6)
+    lhs, rhs = eye, eye
+    # Rightmost factor first: lhs = R12 (R13 (R23 1)), rhs = R23 (R13 (R12 1)).
+    for pair in ((1, 2), (0, 2), (0, 1)):
+        lhs = _on_legs(r[pair], lhs, *pair)
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        rhs = _on_legs(r[pair], rhs, *pair)
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
-
-
-def _embed_pair(r: np.ndarray, d: int, n_legs: int, pa: int, pb: int
-                ) -> np.ndarray:
-    """Embed a two-leg operator on legs (pa, pb) of an n_legs product."""
-    t = r.reshape(d, d, d, d)
-    others = [k for k in range(n_legs) if k not in (pa, pb)]
-    for _ in others:
-        t = np.multiply.outer(t, np.eye(d, dtype=complex))
-    out_axes = [0] * n_legs
-    in_axes = [0] * n_legs
-    out_axes[pa], out_axes[pb], in_axes[pa], in_axes[pb] = 0, 1, 2, 3
-    pos = 4
-    for k in others:
-        out_axes[k] = pos
-        in_axes[k] = pos + 1
-        pos += 2
-    t = np.transpose(t, out_axes + in_axes)
-    return t.reshape(d ** n_legs, d ** n_legs)
 
 
 def direct_transfer(zeta: complex, n: int, twist: TwistConfig,
@@ -199,17 +191,17 @@ def direct_transfer(zeta: complex, n: int, twist: TwistConfig,
 
     Auxiliary leg 0 carries the representation at zeta, legs 1..n the chain
     sites at spectral parameter 1; the site-n factor sits leftmost in the
-    monodromy, matching the ordering used by the trace constructions.
+    monodromy, matching the ordering used by the trace constructions.  The
+    monodromy is a tensor with one output and one input axis per leg; each
+    R-matrix is contracted over its two legs only.
     """
     l = grading.l
     d = l + 1
     aux = FundRep(zeta, grading, ctx)
     site = FundRep(1.0, grading, ctx)
-    r = solve_intertwiner(aux, site).matrix
-    mono = np.eye(d ** (n + 1), dtype=complex)
+    r4 = solve_intertwiner(aux, site).matrix.reshape(d, d, d, d)
+    mono = np.eye(d ** (n + 1), dtype=complex).reshape((d,) * (2 * n + 2))
     for k in range(1, n + 1):
-        mono = _embed_pair(r, d, n + 1, 0, k) @ mono
-    tw = aux.twist_matrix(twist)
-    full = np.kron(tw, np.eye(d ** n, dtype=complex)) @ mono
-    t4 = full.reshape(d, d ** n, d, d ** n)
-    return np.einsum("iaib->ab", t4)
+        mono = _on_legs(r4, mono, 0, k)
+    tw = np.diagonal(aux.twist_matrix(twist))
+    return np.einsum("i,iaib->ab", tw, mono.reshape(d, d ** n, d, d ** n))

@@ -1,4 +1,4 @@
-"""Deformation-parameter arithmetic: q-numbers and series.
+"""Deformation-parameter arithmetic: powers of q and the normalization series.
 
 Everything downstream works with powers of a fixed deformation parameter q.
 Symbolic exponents are plain numbers (integers wherever the library builds
@@ -9,7 +9,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -36,18 +35,11 @@ class QContext:
 
     def qpow(self, nu) -> complex:
         """q**nu on the principal branch (exact for real positive q)."""
-        if isinstance(nu, Fraction):
-            nu = float(nu)
         if isinstance(self.q, complex) or self.q <= 0:
             return cmath.exp(nu * cmath.log(self.q))
         if isinstance(nu, complex):
             return cmath.exp(nu * math.log(self.q))
         return self.q ** nu
-
-
-def q_number(nu, ctx: QContext) -> complex:
-    """[nu]_q = (q^nu - q^-nu) / (q - q^-1)."""
-    return (ctx.qpow(nu) - ctx.qpow(-nu)) / ctx.kappa
 
 
 # Terms summed by `f_series` before it gives up.

@@ -198,10 +198,12 @@ def c_l_diagonal(n: int, twist: TwistConfig, grading: GradingConfig,
     return diag
 
 
-def op_det(blocks: list) -> np.ndarray:
-    """Determinant of a matrix of mutually commuting operators.
+def op_det(blocks: list, product=np.matmul) -> np.ndarray:
+    """Determinant of a matrix of mutually commuting entries.
 
-    Cofactor expansion along the first row; entries are dense ndarrays.
+    Cofactor expansion along the first row.  `product` multiplies two
+    entries: `np.matmul` for operators (dense ndarrays), `np.convolve` for
+    polynomials (ascending coefficient arrays).
     """
     p = len(blocks)
     if p == 1:
@@ -211,7 +213,7 @@ def op_det(blocks: list) -> np.ndarray:
         entry = blocks[0][col]
         minor = [[blocks[r][c] for c in range(p) if c != col]
                  for r in range(1, p)]
-        term = entry @ op_det(minor)
+        term = product(entry, op_det(minor, product))
         if col % 2:
             term = -term
         out = term if out is None else out + term
@@ -300,11 +302,16 @@ class QFamily:
             self._cache[key] = out
         return self._cache[key]
 
-    def shifted(self, a: int, zeta: complex, power) -> np.ndarray:
-        """Q_a at q^{power/s} zeta (power may be rational)."""
-        s = self.grading.total
-        shift = self.ctx.qpow(float(power) / s)
+    def shifted(self, a: int, zeta: complex, power: float) -> np.ndarray:
+        """Q_a at q^{power/s} zeta."""
+        shift = self.ctx.qpow(power / self.grading.total)
         return self.q_op(a, shift * zeta)
+
+    def shifted_det(self, a_tuple: Sequence[int], powers: Sequence[float],
+                    zeta: complex) -> np.ndarray:
+        """det( Q_{a_i}(q^{p_j/s} zeta) ): row i is a_i, column j is p_j."""
+        return op_det([[self.shifted(a, zeta, p) for p in powers]
+                       for a in a_tuple])
 
     def generalized_q(self, a_tuple: Sequence[int],
                       zeta: complex) -> np.ndarray:
@@ -312,12 +319,8 @@ class QFamily:
         p = len(a_tuple)
         if p == 0:
             return np.eye(self.dim, dtype=complex)
-        blocks = [
-            [self.shifted(a_tuple[i], zeta, p - 2 * (j + 1) + 1)
-             for j in range(p)]
-            for i in range(p)
-        ]
-        return op_det(blocks)
+        return self.shifted_det(a_tuple, [p - 2 * j + 1
+                                          for j in range(1, p + 1)], zeta)
 
     def c_l(self) -> np.ndarray:
         return c_l_diagonal(self.n, self.twist, self.grading, self.ctx)

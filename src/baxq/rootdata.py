@@ -1,16 +1,13 @@
-"""Root-system combinatorics for type A_l: Cartan data, Weyl group, weights.
+"""Root-system combinatorics for type A_l: Cartan data, Weyl group, rho.
 
-Weights are handled in two coordinate systems:
-  * omega coordinates: l-tuples of coefficients on the fundamental weights;
-  * epsilon coordinates: (l+1)-tuples (partition-like labels mu_1..mu_{l+1}),
-    which is what the determinant formulas are indexed by.
-The Weyl group is the symmetric group S_{l+1} permuting epsilon coordinates.
+Weights are (l+1)-tuples in epsilon coordinates (partition-like labels
+mu_1..mu_{l+1}), which is what the determinant formulas are indexed by.
+The Weyl group is the symmetric group S_{l+1} permuting those coordinates.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
 
 
@@ -44,10 +41,6 @@ class RootSystem:
 
     l: int
 
-    @property
-    def rank_plus_one(self) -> int:
-        return self.l + 1
-
     def cartan(self) -> list:
         a = [[0] * self.l for _ in range(self.l)]
         for i in range(self.l):
@@ -58,42 +51,9 @@ class RootSystem:
                 a[i][i + 1] = -1
         return a
 
-    def cartan_inverse(self) -> list:
-        """Exact inverse Cartan matrix: c_ij = min(i,j)(l+1-max(i,j))/(l+1)."""
-        l1 = self.l + 1
-        return [
-            [Fraction(min(i, j) * (l1 - max(i, j)), l1)
-             for j in range(1, l1)]
-            for i in range(1, l1)
-        ]
-
     def rho(self) -> tuple:
         """Staircase shifts rho_a = l/2 - a + 1 in epsilon coordinates."""
-        return tuple(Fraction(self.l, 2) - a + 1 for a in range(1, self.l + 2))
-
-    def rho_extended(self, b: int) -> Fraction:
-        """rho_b extended to b = 0 (used by the rectangular identities)."""
-        return Fraction(self.l, 2) - b + 1
-
-    def basis_weights(self) -> list:
-        """Weights lambda_m of the first fundamental module, omega coords.
-
-        lambda_1 = omega_1, lambda_m = omega_m - omega_{m-1},
-        lambda_{l+1} = -omega_l.
-        """
-        out = []
-        for m in range(1, self.l + 2):
-            w = [0] * self.l
-            if m <= self.l:
-                w[m - 1] += 1
-            if m >= 2:
-                w[m - 2] -= 1
-            out.append(tuple(w))
-        return out
-
-    def omega_epsilon(self, k: int) -> tuple:
-        """omega_k in epsilon coordinates (1 in the first k slots)."""
-        return tuple(1 if i < k else 0 for i in range(self.l + 1))
+        return tuple(self.l / 2 - a + 1 for a in range(1, self.l + 2))
 
     def weyl_enumerate(self) -> Iterator[WeylElement]:
         for perm in itertools.permutations(range(self.l + 1)):

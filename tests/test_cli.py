@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from baxq.cli import RunConfig, main, run_suite
+from baxq.cli import TOLERANCES, RunConfig, main, run_suite
 from baxq.qop import load_matrix
 
 
@@ -60,6 +60,45 @@ def test_run_suite_reports_timings_health_and_tolerances():
     assert bet["failures"] == []
     assert all(r["tolerance"] == 1e-6 for r in bet["residuals"])
     assert all(c["tolerance"] == 1e-10 for c in report["lweights"]["cases"])
+    for r in report["relations"]:
+        kind = "direct-transfer" if r["name"] == "direct-transfer" \
+            else "relations"
+        assert r["tolerance"] == TOLERANCES[kind]
+        assert r["passed"] == (r["residual"] < r["tolerance"])
+    assert TOLERANCES == {"relations": 1e-8, "direct-transfer": 1e-6,
+                          "bethe": 1e-6, "lweights": 1e-10}
+    assert "tolerance" not in report["config"]
+    assert "zetas" not in report["config"]
+    json.dumps(report, allow_nan=False)
+
+
+def test_bethe_singular_root_becomes_failed_entry(monkeypatch):
+    """A root exactly on a zero of a product-form factor (an exact 2-string,
+    z_2 = q^2 z_1 bit for bit) gives failed entries with a reason, and the
+    report stays valid JSON."""
+    from baxq.bethe import BethePolynomial, BetheSystem
+    from baxq.qop import SectorLabel
+
+    def strings(self, path, label, line):
+        q = self.fam.ctx.qpow(1)
+        w = 0.4 + 0.1j
+
+        def poly(roots):
+            return BethePolynomial((1,), SectorLabel((1, 1, 0)), 0, 1.0, 0.0,
+                                   roots, 0.0)
+        return [poly([w, q * q * w]), poly([0.9])]
+
+    monkeypatch.setattr(BetheSystem, "path_polynomials", strings)
+    report = run_suite(RunConfig(l=2, n=1, suites=("bethe",)))
+    assert not report["passed"]
+    json.dumps(report, allow_nan=False)
+    res = report["bethe"]["residuals"]
+    singular = [r for r in res if r["level"] == 1]
+    assert singular and all(
+        r["residual"] is None and not r["passed"] and r["string_gap"] < 1e-15
+        and "zero or pole" in r["reason"] for r in singular)
+    assert all(r["residual"] is not None and "reason" not in r
+               for r in res if r["level"] == 2)
 
 
 def test_bethe_suite_passes_at_l2_n4():
@@ -179,8 +218,20 @@ def test_config_file_and_overrides(tmp_path):
     assert report["config"]["seed"] == 9
 
 
-def test_config_file_rejects_unknown_field(tmp_path):
+def test_config_file_rejects_unknown_field(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"wibble": 1}))
-    with pytest.raises(ValueError):
-        main(["verify", "--config", str(cfg_path)])
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == \
+        "baxq: error: unknown config field 'wibble'\n"
+
+
+def test_invalid_configuration_exits_with_status_2(tmp_path, capsys):
+    """At l = 5 the default twist has tau_1 - tau_6 = 6.0, an integer, which
+    validation rejects: one error line, status 2, no report."""
+    out = tmp_path / "l5"
+    assert main(["verify", "--l", "5", "--n", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("baxq: error: tau_1 - tau_6 is within 1e-3 of an "
+                          "integer") and err.count("\n") == 1
+    assert not out.exists()

@@ -2,11 +2,14 @@
 import numpy as np
 import pytest
 
+from baxq.cli import TOLERANCES
 from baxq.funcrel import (TransferFromQ, check_direct_vs_q, check_jacobi_trudi,
                           check_master_tq, check_master_tt, check_qq_jacobi,
                           check_t_symmetries, check_t_system, check_unit_q)
 
 from conftest import make_setup
+
+TOL = TOLERANCES["relations"]
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +24,14 @@ def tq21():
 
 def test_unit_relation(tq12):
     rep = check_unit_q(tq12.fam, 0.62)
-    assert rep.passed and rep.residual < 1e-10
+    assert rep.residual < 1e-10
 
 
 def test_master_tq(tq12, tq21):
     for tq in (tq12, tq21):
         mu = list(range(tq.fam.l + 2))
         rep = check_master_tq(tq, 1, mu, 0.44)
-        assert rep.passed, rep.residual
+        assert rep.residual < TOL, rep.residual
 
 
 def test_master_tq_rejects_bad_mu(tq12):
@@ -38,18 +41,18 @@ def test_master_tq_rejects_bad_mu(tq12):
 
 def test_master_tt(tq21):
     rep = check_master_tt(tq21, [5, 3, 1, 0, 2, 4], 0.39)
-    assert rep.passed, rep.residual
+    assert rep.residual < TOL, rep.residual
 
 
 def test_t_system(tq21):
     for (a, m) in ((1, 1), (2, 1), (1, 2)):
         rep = check_t_system(tq21, a, m, 0.5)
-        assert rep.passed, (a, m, rep.residual)
+        assert rep.residual < TOL, (a, m, rep.residual)
 
 
 def test_jacobi_trudi_needs_normalized_family(tq12):
     rep = check_jacobi_trudi(tq12, 1, 2, 0.3)
-    assert rep.passed, rep.residual
+    assert rep.residual < TOL, rep.residual
 
 
 def test_t_hat_boundary_is_unity(tq12):
@@ -61,19 +64,19 @@ def test_t_hat_boundary_is_unity(tq12):
 
 def test_qq_jacobi(tq21):
     rep = check_qq_jacobi(tq21.fam, (1,), 2, 3, 0.58)
-    assert rep.passed, rep.residual
+    assert rep.residual < TOL, rep.residual
 
 
 def test_t_symmetries(tq21):
     reps = check_t_symmetries(tq21, [3, 1, 0], 2, 0.47, 1)
     assert [r.name for r in reps] == ["t-trivial", "t-shift", "t-reflect"]
     for r in reps:
-        assert r.passed, (r.name, r.residual)
+        assert r.residual < TOL, (r.name, r.residual)
 
 
 def test_direct_vs_determinant(tq12):
     rep = check_direct_vs_q(tq12, 0.66)
-    assert rep.passed, rep.residual
+    assert rep.residual < TOLERANCES["direct-transfer"], rep.residual
 
 
 def test_s_op_antisymmetry(tq12):
@@ -84,7 +87,9 @@ def test_s_op_antisymmetry(tq12):
 
 
 def test_report_shape(tq12):
+    """A check measures only: name, residual and numeric details; the
+    suite attaches the bound."""
     rep = check_unit_q(tq12.fam, 0.3)
     assert rep.name == "unit-q"
-    assert rep.tolerance == 1e-8
-    assert isinstance(rep.details, dict)
+    assert not hasattr(rep, "tolerance") and not hasattr(rep, "passed")
+    assert rep.details == {"zeta": [0.3, 0.0]}

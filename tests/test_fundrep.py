@@ -86,3 +86,38 @@ def test_twist_matrix_is_unimodular():
     rep = _rep(2, 0.5)
     tw = rep.twist_matrix(TwistConfig.default(2))
     assert np.prod(np.diag(tw)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 2)])
+def test_direct_transfer_matches_kron_monodromy(l, n):
+    """The leg-by-leg contraction equals the trace of tw R_{0n} ... R_{01}
+    with every R_{0k} assembled densely from matrix units by kron."""
+    d = l + 1
+    twist = TwistConfig.default(l)
+    g = GradingConfig.principal(l)
+    ctx = QContext(q=0.7, tau=twist.tau)
+    zeta = 0.55
+    aux = FundRep(zeta, g, ctx)
+    r = solve_intertwiner(aux, FundRep(1.0, g, ctx)).matrix
+
+    def unit(i, j):
+        m = np.zeros((d, d), dtype=complex)
+        m[i, j] = 1.0
+        return m
+
+    mono = np.eye(d ** (n + 1), dtype=complex)
+    for k in range(1, n + 1):
+        r0k = 0
+        for a, b, c, e in np.ndindex(d, d, d, d):
+            coeff = r[a * d + b, c * d + e]
+            if coeff:
+                r0k = r0k + coeff * np.kron(
+                    np.kron(unit(a, c), np.eye(d ** (k - 1))),
+                    np.kron(unit(b, e), np.eye(d ** (n - k))))
+        mono = r0k @ mono
+    full = np.kron(aux.twist_matrix(twist), np.eye(d ** n)) @ mono
+    dim = d ** n
+    ref = sum(full[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim]
+              for i in range(d))
+    got = direct_transfer(zeta, n, twist, g, ctx)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

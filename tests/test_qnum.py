@@ -1,11 +1,11 @@
-"""Deformation arithmetic: q-numbers, normalization series."""
+"""Deformation arithmetic: powers of q, normalization series."""
 import cmath
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from baxq.qnum import QContext, f_series, q_number
+from baxq.qnum import QContext, f_series
 
 CTX = QContext(q=0.7)
 
@@ -13,13 +13,6 @@ CTX = QContext(q=0.7)
 def test_qpow_exact_for_real_q():
     assert CTX.qpow(2) == pytest.approx(0.49)
     assert CTX.qpow(-1) == pytest.approx(1.0 / 0.7)
-
-
-def test_q_number_values():
-    # [1] = 1, [2] = q + 1/q, [-nu] = -[nu]
-    assert q_number(1, CTX) == pytest.approx(1.0)
-    assert q_number(2, CTX) == pytest.approx(0.7 + 1.0 / 0.7)
-    assert q_number(-3, CTX) == pytest.approx(-q_number(3, CTX))
 
 
 @given(st.integers(min_value=2, max_value=4),

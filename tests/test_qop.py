@@ -123,13 +123,15 @@ def test_q_operators_commute():
 
 
 def test_dressing_exponent_telescopes():
-    """Summing D over a = 1..l+1 at fixed sector gives zero: the product of
-    all dressings is zeta-power free."""
-    twist, grading, ctx, fam = make_setup(2, 1)
-    for label in sectors(2, 1):
-        total = sum(dressing_exponent(a, label, twist, grading)
-                    for a in range(1, 4))
-        assert total == pytest.approx(0.0, abs=1e-12)
+    """Summing D over a = 1..l+1 at fixed sector gives zero for every
+    grading: the product of all dressings is zeta-power free."""
+    twist = TwistConfig.default(2)
+    for s in ((1, 1, 1), (2, 1, 1), (0, 3, 1)):
+        grading = GradingConfig(s)
+        for label in list(sectors(2, 1)) + list(sectors(2, 2)):
+            total = sum(dressing_exponent(a, label, twist, grading)
+                        for a in range(1, 4))
+            assert total == pytest.approx(0.0, abs=1e-12), (s, label.k)
 
 
 def test_generalized_q_reduces_to_single():
@@ -148,6 +150,11 @@ def test_op_det_matches_scalar_determinant():
     det = op_det(blocks)
     assert det[0, 0] == pytest.approx(np.linalg.det(vals))
     assert det[0, 1] == 0.0
+    # With np.convolve as the product, entries are polynomials (ascending
+    # coefficients): (1 + z)(3 - z) - 2z = 3 - z^2.
+    polys = [[np.array([1.0, 1.0]), np.array([2.0, 0.0])],
+             [np.array([0.0, 1.0]), np.array([3.0, -1.0])]]
+    assert np.array_equal(op_det(polys, np.convolve), [3.0, 0.0, -1.0])
 
 
 def test_matrix_persistence_roundtrip(tmp_path):
