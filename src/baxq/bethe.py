@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qop import (QFamily, SectorLabel, dressing_exponent, horner, op_det,
-                  sectors)
+from .qop import QFamily, SectorLabel, dressing_exponent, horner, op_det
 
 # Each sector's basis diagonalizes sum_a GAMMA^(a-1) Q'_a(z_a), z_a = zeta^s
 # with zeta cycling through BASIS_ZETAS.  DIAG_TOL bounds the relative
@@ -30,6 +29,8 @@ BASIS_ZETAS = (0.43, 0.67)
 GAMMA = 0.37 + 0.21j
 DIAG_TOL = 1e-8
 RECON_TOL = 1e-7
+# Newton iteration of `solve_bae_newton`: step cap, damping, residual bound.
+NEWTON_MAX_ITER, NEWTON_DAMPING, NEWTON_TOL = 200, 1.0, 1e-10
 
 
 @dataclass
@@ -78,14 +79,10 @@ class BetheSystem:
     def __init__(self, fam: QFamily):
         self.fam = fam
         self._bases: Dict[SectorLabel, tuple] = {}
-        self._sectors = sectors(fam.l, fam.n)
         # Per sector: smallest eigenvalue separation of the basis operator
         # (relative to its largest eigenvalue; None on a one-line sector)
         # and worst relative off-diagonal of any coefficient slice.
         self.health: Dict[SectorLabel, dict] = {}
-
-    def sector_labels(self) -> List[SectorLabel]:
-        return list(self._sectors)
 
     def _basis(self, label: SectorLabel) -> tuple:
         """(V, V^-1, {a: coefficients of Q'_a, one row per eigenline})."""
@@ -126,14 +123,13 @@ class BetheSystem:
         return self._bases[label]
 
     def n_lines(self, label: SectorLabel) -> int:
-        return len(self._sectors[label])
+        return len(self.fam.sectors[label])
 
     def eigenvalue(self, a_tuple: Sequence[int], label: SectorLabel,
                    eigenline: int, zeta: complex) -> complex:
         """Dense reference: the generalized Q at zeta, projected."""
         vecs, vinv, _ = self._basis(label)
-        idx = np.array(self._sectors[label])
-        q = self.fam.generalized_q(tuple(a_tuple), zeta)[np.ix_(idx, idx)]
+        q = self.fam.block(self.fam.generalized_q(a_tuple, zeta), label)
         return complex(vinv[eigenline] @ q @ vecs[:, eigenline])
 
     def eigen_polynomial(self, a_tuple: Sequence[int], label: SectorLabel,
@@ -254,9 +250,8 @@ def bae_ratio_residual(prev: BethePolynomial, cur: BethePolynomial,
 
 
 def solve_bae_newton(path: Sequence[int], degrees: Sequence[int],
-                     initial: Sequence[Sequence[complex]], fam: QFamily,
-                     max_iter: int = 200, damping: float = 1.0,
-                     tol: float = 1e-10) -> List[List[complex]]:
+                     initial: Sequence[Sequence[complex]],
+                     fam: QFamily) -> List[List[complex]]:
     """Damped Newton iteration on the logarithmic leveled equations.
 
     `initial` gives per-level root guesses; the flattened system solves
@@ -289,9 +284,9 @@ def solve_bae_newton(path: Sequence[int], degrees: Sequence[int],
                     _leveled_ratio(fam, path, i, zm, prev, others, nxt)))
         return np.array(eqs, dtype=complex)
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f = equations(x)
-        if np.max(np.abs(f)) < tol:
+        if np.max(np.abs(f)) < NEWTON_TOL:
             return unpack(x)
         h = 1e-7 * max(1.0, float(np.max(np.abs(x))))
         jac = np.empty((f.size, x.size), dtype=complex)
@@ -303,6 +298,6 @@ def solve_bae_newton(path: Sequence[int], degrees: Sequence[int],
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError("singular Jacobian in Newton step") from exc
-        x = x - damping * step
+        x = x - NEWTON_DAMPING * step
     raise ArithmeticError("Newton iteration did not converge in %d steps"
-                          % max_iter)
+                          % NEWTON_MAX_ITER)

@@ -34,7 +34,7 @@ from .fundrep import yang_baxter_residual
 from .lop import GradingConfig, build_L
 from .lweight import check_shifted_product, conjectured_xi
 from .qnum import QContext
-from .qop import QFamily, save_matrix, sectors
+from .qop import QFamily, save_matrix
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("relations", "bethe", "lweights")
@@ -181,7 +181,7 @@ def _bethe_suite(config: RunConfig, fam: QFamily) -> dict:
     l = config.l
     path = tuple(range(1, l + 2))
     polys_out, residuals, failures = [], [], []
-    for label in sorted(sectors(l, config.n), key=lambda lb: lb.k):
+    for label in sorted(fam.sectors, key=lambda lb: lb.k):
         for line in range(bs.n_lines(label)):
             try:
                 polys = bs.path_polynomials(path, label, line)

@@ -66,7 +66,7 @@ class TransferFromQ:
         l = self.fam.l
         if len(mu) != l + 1:
             raise ValueError("mu must have l + 1 components")
-        return self._c_inv[:, None] * self.fam.shifted_det(
+        return self._c_inv[:, None, None] * self.fam.shifted_det(
             range(1, l + 2), [2 * m for m in mu], zeta)
 
     def t_op(self, mu: Sequence, zeta: complex) -> np.ndarray:
@@ -84,7 +84,7 @@ class TransferFromQ:
         fam = self.fam
         val = (1.0 - fam.ctx.qpow(2 * nu)
                * zeta ** fam.grading.total) ** fam.n
-        return val * np.eye(fam.dim, dtype=complex)
+        return val * fam.identity()
 
     def t_rect(self, a: int, m: int, zeta: complex) -> np.ndarray:
         """T_{a,m} = T^{m omega_a}(q^{(a-m)/s} zeta).
@@ -96,7 +96,7 @@ class TransferFromQ:
         l = self.fam.l
         s = self.fam.grading.total
         if not 0 <= a <= l + 1:
-            return np.zeros((self.fam.dim, self.fam.dim), dtype=complex)
+            return 0 * self.fam.identity()
         shift = self.fam.ctx.qpow((a - m) / s)
         if a == 0 or m == 0:
             return self.t_scalar(0, shift * zeta)
@@ -127,7 +127,7 @@ class TransferFromQ:
         """Universally normalized T_{a,m}: boundary columns become 1."""
         l = self.fam.l
         if not 0 <= a <= l + 1:
-            return np.zeros((self.fam.dim, self.fam.dim), dtype=complex)
+            return 0 * self.fam.identity()
         return self.t_rect(a, m, zeta) / self.t_norm(a, m, zeta)
 
 
@@ -135,12 +135,13 @@ def check_master_tq(tq: TransferFromQ, a: int, mu: Sequence,
                     zeta: complex) -> RelationReport:
     """sum_b (-1)^{b-1} S^{mu w/o b}(zeta) Q_a(q^{2 mu_b/s} zeta) = 0."""
     fam = tq.fam
-    l = fam.l
+    l, s = fam.l, fam.grading.total
     if len(mu) != l + 2:
         raise ValueError("mu must have l + 2 components")
     resid = _alternating_residual(
         tq.s_op([mu[c] for c in range(l + 2) if c != b], zeta)
-        @ fam.shifted(a, zeta, 2 * mu[b]) for b in range(l + 2))
+        @ fam.q_blocks(a, fam.ctx.qpow(2 * mu[b] / s) * zeta)
+        for b in range(l + 2))
     return RelationReport("master-tq", resid,
                           {"a": a, "mu": list(mu), "zeta": _pair(zeta)})
 
@@ -220,7 +221,8 @@ def check_qq_jacobi(fam: QFamily, a_tuple: Sequence[int], b: int, c: int,
 def check_unit_q(fam: QFamily, zeta: complex) -> RelationReport:
     """Q_{1..l+1}(zeta) = (1 - zeta^s)^n diag(C)."""
     lhs = fam.generalized_q(tuple(range(1, fam.l + 2)), zeta)
-    rhs = (1.0 - zeta ** fam.grading.total) ** fam.n * np.diag(fam.c_l())
+    rhs = ((1.0 - zeta ** fam.grading.total) ** fam.n
+           * fam.c_l()[:, None, None] * fam.identity())
     resid = _rel_residual(lhs - rhs, lhs, rhs)
     return RelationReport("unit-q", resid, {"zeta": _pair(zeta)})
 
@@ -233,7 +235,7 @@ def check_direct_vs_q(tq: TransferFromQ, zeta: complex) -> RelationReport:
     """
     fam = tq.fam
     mu = [1] + [0] * fam.l
-    t_det = tq.t_op(mu, zeta)
+    t_det = fam.dense(tq.t_op(mu, zeta))
     t_dir = direct_transfer(zeta, fam.n, fam.twist, fam.grading, fam.ctx)
     i, j = np.unravel_index(int(np.argmax(np.abs(t_det))), t_det.shape)
     scale = t_det[i, j] / t_dir[i, j]

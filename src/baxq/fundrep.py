@@ -81,12 +81,12 @@ def coproduct_matrix(kind: str, i: int, rep1: FundRep, rep2: FundRep,
     """Matrix of Delta(x) (or the opposite coproduct) on rep1 (x) rep2.
 
     The opposite coproduct is Delta evaluated on the swapped pair of
-    representations, conjugated back by the flip of tensor factors.
+    representations, with the two tensor factors swapped back.
     """
     l = rep1.l
     if opposite:
-        p = _flip_permutation(l + 1)
-        return p @ coproduct_matrix(kind, i, rep2, rep1) @ p
+        m = coproduct_matrix(kind, i, rep2, rep1).reshape((l + 1,) * 4)
+        return m.transpose(1, 0, 3, 2).reshape((l + 1) ** 2, -1)
     eye = np.eye(l + 1, dtype=complex)
     if kind == "h":
         m = np.kron(rep1.h_exp(i), rep2.h_exp(i))
@@ -97,14 +97,6 @@ def coproduct_matrix(kind: str, i: int, rep1: FundRep, rep2: FundRep,
     else:
         raise ValueError("kind must be 'h', 'e' or 'f'")
     return m
-
-
-def _flip_permutation(d: int) -> np.ndarray:
-    p = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            p[b * d + a, a * d + b] = 1.0
-    return p
 
 
 @dataclass

@@ -285,5 +285,5 @@ def max_entry_difference(a: LOperator, b: LOperator, ctx: QContext) -> float:
     for i in range(a.l + 1):
         for j in range(a.l + 1):
             diff = a.entries[i][j] - b.entries[i][j]
-            worst = max(worst, diff.prune(ctx).max_abs())
+            worst = max(worst, diff.prune().max_abs())
     return worst

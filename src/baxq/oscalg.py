@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qnum import QContext
+from .qnum import TOLERANCE, QContext
 
 # A per-mode monomial label: (alpha, beta, exponent E of q^{E N}).
 ModeKey = Tuple[int, int, object]
@@ -109,9 +109,9 @@ class OscExpr:
     def max_abs(self) -> float:
         return max((abs(v) for _, v in self.terms), default=0.0)
 
-    def prune(self, ctx: QContext) -> "OscExpr":
+    def prune(self) -> "OscExpr":
         """Drop terms below tolerance relative to the largest coefficient."""
-        cut = ctx.tolerance * self.max_abs()
+        cut = TOLERANCE * self.max_abs()
         return OscExpr.from_dict(
             self.modes, {k: v for k, v in self.terms if abs(v) > cut}
         )
@@ -189,12 +189,12 @@ def multiply(x: OscExpr, y: OscExpr, ctx: QContext) -> OscExpr:
             for key, c in partial:
                 label = (key, p)
                 acc[label] = acc.get(label, 0.0) + c
-    return OscExpr.from_dict(x.modes, acc).prune(ctx)
+    return OscExpr.from_dict(x.modes, acc).prune()
 
 
 # -- exact graded traces ---------------------------------------------------
 
-# Cache of single-mode traces, keyed by (q, tolerance, mode, sign, shift).
+# Cache of single-mode traces, keyed by (q, mode, sign, shift).
 _TRACE_CACHE: dict = {}
 
 
@@ -209,7 +209,7 @@ def _mode_trace(mode: ModeKey, sign: int, shift: float,
     a, b, e = mode
     if a != b:
         return 0.0
-    key = (ctx.q, ctx.tolerance, mode, sign, shift)
+    key = (ctx.q, mode, sign, shift)
     hit = _TRACE_CACHE.get(key)
     if hit is not None:
         return hit
@@ -227,7 +227,7 @@ def _mode_trace(mode: ModeKey, sign: int, shift: float,
     total = 0.0 + 0j
     for m, c in shifts.items():
         pole = 1.0 - ctx.qpow(ev + m)
-        if abs(pole) < ctx.tolerance:
+        if abs(pole) < TOLERANCE:
             raise TracePoleError(
                 "trace pole at exponent %r + %r + %d" % (e, shift, m)
             )

@@ -10,6 +10,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+# Relative threshold for pruning, pole screens and the `f_series` cutoff.
+TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class QContext:
@@ -18,15 +21,12 @@ class QContext:
     Attributes:
         q: The deformation parameter (nonzero, not a root of unity; the
             default regime is real with 0 < q < 1).
-        tolerance: Relative threshold used when pruning symbolic expressions
-            and when screening traces for poles.
         tau: Numeric values of the twist parameters tau_1..tau_{l+1}, kept
             for callers that record them; the Q builds read the twist from
             `TwistConfig`.
     """
 
     q: complex = 0.7
-    tolerance: float = 1e-12
     tau: tuple = ()
 
     @property
@@ -60,7 +60,7 @@ def f_series(rank_plus_one: int, z: complex, ctx: QContext) -> complex:
         zn *= z
         term = zn / (n * _q_int(rank_plus_one, n, ctx))
         total += term
-        if abs(term) < ctx.tolerance * max(1.0, abs(total)):
+        if abs(term) < TOLERANCE * max(1.0, abs(total)):
             return total
     raise RuntimeError("series did not converge within %d terms"
                        % F_SERIES_MAX_TERMS)

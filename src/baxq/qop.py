@@ -12,11 +12,11 @@ which the tests verify.
 The undressed operator Q'_a is a matrix polynomial of degree n in
 z = zeta^s that vanishes between weight sectors.  It is built once per a,
 from the zeta-free Lax matrix, as exact coefficients: one (n+1, m, m) stack
-per sector of size m.  An operator at a given zeta is then a Horner
-evaluation of those stacks plus the sector dressing.
-
-Determinants of shifted Baxter operators (generalized Q-functions) feed the
-functional relations in `funcrel`.
+per sector of size m.  Every operator of a family (Q_a at a given zeta,
+determinants of shifted Q's, the transfer operators of `funcrel`) is one
+(S, M, M) stack of its S sector blocks, each zero-padded to the largest
+sector size M; numpy's products and sums act on it block by block and keep
+the padding zero.  Only `QFamily.dense` forms (dim, dim) matrices.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from .borelhoms import TwistConfig, module_signs, twist_diagonal
 from .lop import GradingConfig, LOperator, build_L_a
 from .oscalg import OscExpr, multiply, trace_powers
-from .qnum import QContext
+from .qnum import TOLERANCE, QContext
 
 
 @dataclass(frozen=True)
@@ -175,35 +175,12 @@ def horner(coeffs: np.ndarray, z: complex) -> np.ndarray:
     return out
 
 
-def c_l_diagonal(n: int, twist: TwistConfig, grading: GradingConfig,
-                 ctx: QContext) -> np.ndarray:
-    """Diagonal of the twisted Weyl-denominator-type normalization operator.
-
-    Sector eigenvalue: prod_{i<j} q^{e_ij/2} / (1 - q^{e_ij}) with
-    e_ij = (k_i - k_j) - (tau_i - tau_j).
-    """
-    l = grading.l
-    diag = np.zeros((l + 1) ** n, dtype=complex)
-    for label, idxs in sectors(l, n).items():
-        val = 1.0 + 0j
-        for i in range(1, l + 2):
-            for j in range(i + 1, l + 2):
-                e = (label.k[i - 1] - label.k[j - 1]) \
-                    - (twist.tau[i - 1] - twist.tau[j - 1])
-                den = 1.0 - ctx.qpow(e)
-                if abs(den) < ctx.tolerance:
-                    raise ArithmeticError("degenerate twist in normalization")
-                val *= ctx.qpow(e / 2.0) / den
-        diag[idxs] = val
-    return diag
-
-
 def op_det(blocks: list, product=np.matmul) -> np.ndarray:
     """Determinant of a matrix of mutually commuting entries.
 
     Cofactor expansion along the first row.  `product` multiplies two
-    entries: `np.matmul` for operators (dense ndarrays), `np.convolve` for
-    polynomials (ascending coefficient arrays).
+    entries: `np.matmul` for operators (sector stacks or dense ndarrays),
+    `np.convolve` for polynomials (ascending coefficient arrays).
     """
     p = len(blocks)
     if p == 1:
@@ -255,8 +232,8 @@ def load_matrix(path: str) -> Tuple[np.ndarray, dict]:
 class QFamily:
     """Baxter operators of one chain (fixed l, n, twist, grading).
 
-    Each Q'_a is built once as sector coefficient stacks (`q_prime`); dense
-    dressed operators are evaluated from them and cached per (a, zeta).
+    Each Q'_a is built once (`q_prime`).  Operators are (S, M, M) stacks of
+    sector blocks in the order of `sectors`; `dense` forms the matrix.
     """
 
     def __init__(self, n: int, twist: TwistConfig, grading: GradingConfig,
@@ -266,12 +243,18 @@ class QFamily:
         self.n = n
         self.twist = twist
         self.grading = grading
-        self.ctx = QContext(q=ctx.q, tolerance=ctx.tolerance,
-                            tau=tuple(twist.tau))
-        self._index = {label: np.array(idxs)
-                       for label, idxs in sectors(grading.l, n).items()}
+        self.ctx = QContext(q=ctx.q, tau=tuple(twist.tau))
+        self.sectors = sectors(grading.l, n)
+        self._sizes = np.array([len(idxs) for idxs in self.sectors.values()])
+        self._dress = {a: [dressing_exponent(a, k, twist, grading) for k in
+                           self.sectors] for a in range(1, grading.l + 2)}
+        r = np.arange(self._sizes.max())
+        # Stack entries inside each sector's m x m corner; their dense places.
+        self._filled = np.maximum.outer(r, r) < self._sizes[:, None, None]
+        self._dense_at = np.concatenate([
+            (np.array(idxs)[:, None] * self.dim + idxs).ravel()
+            for idxs in self.sectors.values()])
         self._coeffs: dict = {}
-        self._cache: dict = {}
 
     @property
     def l(self) -> int:
@@ -288,39 +271,67 @@ class QFamily:
                                       self.ctx)
         return self._coeffs[a]
 
-    def q_op(self, a: int, zeta: complex) -> np.ndarray:
-        """Dressed Baxter operator Q_a(zeta) = zeta^{D_a} Q'_a(zeta), dense."""
-        key = (a, complex(zeta))
-        if key not in self._cache:
-            z = zeta ** self.grading.total
-            logz = cmath.log(zeta)
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            for label, coeffs in self.coefficients(a).items():
-                d = dressing_exponent(a, label, self.twist, self.grading)
-                idx = self._index[label]
-                out[np.ix_(idx, idx)] = cmath.exp(d * logz) * horner(coeffs, z)
-            self._cache[key] = out
-        return self._cache[key]
+    def identity(self) -> np.ndarray:
+        """The identity stack: ones only on each sector's own diagonal."""
+        return self._filled * np.eye(self._filled.shape[-1], dtype=complex)
 
-    def shifted(self, a: int, zeta: complex, power: float) -> np.ndarray:
-        """Q_a at q^{power/s} zeta."""
-        shift = self.ctx.qpow(power / self.grading.total)
-        return self.q_op(a, shift * zeta)
+    def block(self, x: np.ndarray, label: SectorLabel) -> np.ndarray:
+        """The m x m block of sector `label` in a stack (leading axes kept)."""
+        m = len(self.sectors[label])
+        return x[..., list(self.sectors).index(label), :m, :m]
+
+    def dense(self, x: np.ndarray) -> np.ndarray:
+        """The (dim, dim) matrix of a stack of sector blocks."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out.flat[self._dense_at] = x[self._filled]
+        return out
+
+    def q_blocks(self, a: int, zeta: complex) -> np.ndarray:
+        """Dressed Q_a(zeta) = zeta^{D_a} Q'_a(zeta^s) as a stack."""
+        dress = [cmath.exp(d * cmath.log(zeta)) for d in self._dress[a]]
+        # Sectors side by side, as `_filled` orders them: one Horner pass.
+        coeffs = np.concatenate([c.reshape(self.n + 1, -1) for c in
+                                 self.coefficients(a).values()], axis=1)
+        out = np.zeros(self._filled.shape, dtype=complex)
+        out[self._filled] = (np.repeat(dress, self._sizes ** 2)
+                             * horner(coeffs, zeta ** self.grading.total))
+        return out
+
+    def q_op(self, a: int, zeta: complex) -> np.ndarray:
+        """Dressed Baxter operator Q_a(zeta), dense."""
+        return self.dense(self.q_blocks(a, zeta))
 
     def shifted_det(self, a_tuple: Sequence[int], powers: Sequence[float],
                     zeta: complex) -> np.ndarray:
         """det( Q_{a_i}(q^{p_j/s} zeta) ): row i is a_i, column j is p_j."""
-        return op_det([[self.shifted(a, zeta, p) for p in powers]
-                       for a in a_tuple])
+        s = self.grading.total
+        return op_det([[self.q_blocks(a, self.ctx.qpow(p / s) * zeta)
+                        for p in powers] for a in a_tuple])
 
     def generalized_q(self, a_tuple: Sequence[int],
                       zeta: complex) -> np.ndarray:
         """det( Q_{a_i}(q^{(p - 2j + 1)/s} zeta) )_{i,j=1..p}; empty -> 1."""
         p = len(a_tuple)
         if p == 0:
-            return np.eye(self.dim, dtype=complex)
+            return self.identity()
         return self.shifted_det(a_tuple, [p - 2 * j + 1
                                           for j in range(1, p + 1)], zeta)
 
     def c_l(self) -> np.ndarray:
-        return c_l_diagonal(self.n, self.twist, self.grading, self.ctx)
+        """Twisted Weyl-denominator-type normalization, one value per sector.
+
+        Sector value: prod_{i<j} q^{e_ij/2} / (1 - q^{e_ij}) with
+        e_ij = (k_i - k_j) - (tau_i - tau_j).
+        """
+        tau, ctx = self.twist.tau, self.ctx
+        out = []
+        for label in self.sectors:
+            val = 1.0 + 0j
+            for i, j in itertools.combinations(range(self.l + 1), 2):
+                e = (label.k[i] - label.k[j]) - (tau[i] - tau[j])
+                den = 1.0 - ctx.qpow(e)
+                if abs(den) < TOLERANCE:
+                    raise ArithmeticError("degenerate twist in normalization")
+                val *= ctx.qpow(e / 2.0) / den
+            out.append(val)
+        return np.array(out)

@@ -83,7 +83,7 @@ def test_permuted_path_also_closes():
 
 
 def test_sector_labels_cover_chain(sys12):
-    labels = sys12.sector_labels()
+    labels = sys12.fam.sectors
     assert sum(sys12.n_lines(lb) for lb in labels) == sys12.fam.dim
 
 
@@ -97,7 +97,7 @@ def test_prefix_polynomials_match_dense_eigenvalues(l, n, s):
     bs = BetheSystem(QFamily(n, twist, grading,
                              QContext(q=0.7, tau=twist.tau)))
     path = tuple(range(1, l + 2))
-    for label in bs.sector_labels():
+    for label in bs.fam.sectors:
         for line in range(bs.n_lines(label)):
             for poly in bs.path_polynomials(path, label, line):
                 for zeta in (0.59, 0.6 + 0.3j):

@@ -37,7 +37,7 @@ def test_cartan_conjugation_of_raising_generators(l, a):
             e = o_image("e", j, None, a, l, ctx)
             lhs = multiply(multiply(h, e, ctx), hinv, ctx)
             rhs = e.scale(ctx.qpow(_affine_cartan(i, j, l)))
-            assert (lhs - rhs).prune(ctx).max_abs() < 1e-12
+            assert (lhs - rhs).prune().max_abs() < 1e-12
 
 
 def test_twist_coefficients_invert_cartan():

@@ -2,10 +2,14 @@
 import numpy as np
 import pytest
 
+from baxq.borelhoms import TwistConfig
 from baxq.cli import TOLERANCES
 from baxq.funcrel import (TransferFromQ, check_direct_vs_q, check_jacobi_trudi,
                           check_master_tq, check_master_tt, check_qq_jacobi,
                           check_t_symmetries, check_t_system, check_unit_q)
+from baxq.lop import GradingConfig
+from baxq.qnum import QContext
+from baxq.qop import QFamily
 
 from conftest import make_setup
 
@@ -20,6 +24,11 @@ def tq12():
 @pytest.fixture(scope="module")
 def tq21():
     return TransferFromQ(make_setup(2, 1)[3])
+
+
+@pytest.fixture(scope="module")
+def tq32():
+    return TransferFromQ(make_setup(3, 2)[3])
 
 
 def test_unit_relation(tq12):
@@ -56,7 +65,7 @@ def test_jacobi_trudi_needs_normalized_family(tq12):
 
 
 def test_t_hat_boundary_is_unity(tq12):
-    ident = np.eye(tq12.fam.dim)
+    ident = tq12.fam.identity()
     for zeta in (0.25, 0.4):
         m = tq12.t_hat(0, 1, zeta)
         assert np.max(np.abs(m - ident)) < 1e-10
@@ -93,3 +102,42 @@ def test_report_shape(tq12):
     assert rep.name == "unit-q"
     assert not hasattr(rep, "tolerance") and not hasattr(rep, "passed")
     assert rep.details == {"zeta": [0.3, 0.0]}
+
+
+def test_rank3_relations(tq32):
+    """Master TQ for every a, the T-system, QQ-Jacobi, the transfer
+    symmetries and master TT at (l, n) = (3, 2)."""
+    reps = [check_master_tq(tq32, a, [4, 0, 3, 1, 5], 0.47)
+            for a in range(1, 5)]
+    reps += [check_t_system(tq32, a, m, 0.5)
+             for a, m in ((1, 1), (2, 1), (3, 1), (1, 2))]
+    reps += [check_qq_jacobi(tq32.fam, at, b, c, 0.58)
+             for at, b, c in (((1,), 2, 3), ((), 1, 4))]
+    reps += check_t_symmetries(tq32, [4, 2, 1, 0], 1, 0.47, 2)
+    reps.append(check_master_tt(tq32, [7, 3, 1, 0, 2, 4, 6, 5], 0.39))
+    for rep in reps:
+        assert rep.residual < TOL, (rep.name, rep.details, rep.residual)
+
+
+@pytest.mark.parametrize("l,n,s", [(3, 2, (1, 1, 1, 1)), (1, 3, (1, 2))])
+def test_stacks_are_zero_outside_sector_blocks(l, n, s):
+    """Every operator built from a family keeps the padding of each sector
+    block exactly zero: only the m x m corner of sector m is filled."""
+    twist = TwistConfig.default(l)
+    fam = QFamily(n, twist, GradingConfig(s), QContext(q=0.7, tau=twist.tau))
+    tq = TransferFromQ(fam)
+    size = max(map(len, fam.sectors.values()))
+    r = np.arange(size)
+    pad = np.array([~((r[:, None] < len(idxs)) & (r < len(idxs)))
+                    for idxs in fam.sectors.values()])
+    zeta = 0.6 + 0.3j
+    mu = list(range(l, -1, -1))
+    stacks = [fam.q_blocks(a, zeta) for a in range(1, l + 2)]
+    stacks += [fam.generalized_q(tuple(range(1, p + 1)), zeta)
+               for p in range(l + 2)]
+    stacks += [tq.s_op(mu, zeta), tq.t_op(mu, zeta)]
+    stacks += [tq.t_rect(a, m, zeta) for a in range(-1, l + 3)
+               for m in (0, 1, 2)]
+    for x in stacks:
+        assert x.shape == pad.shape
+        assert np.all(x[pad] == 0)

@@ -71,4 +71,4 @@ def test_zeta_dependence_is_polynomial():
     minus = build_L(-0.5, grading, ctx)
     # Off-diagonal entries carry a single power of zeta and flip sign.
     diff = plus.entry(2, 1) - minus.entry(2, 1).scale(-1.0)
-    assert diff.prune(ctx).max_abs() == 0.0
+    assert diff.prune().max_abs() == 0.0

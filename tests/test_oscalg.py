@@ -174,4 +174,4 @@ def test_exact_vs_truncated_traces_random():
 
 def test_prune_drops_small_terms():
     x = _bdag() + _b().scale(1e-16)
-    assert len(x.prune(CTX)) == 1
+    assert len(x.prune()) == 1

@@ -1,4 +1,6 @@
 """Baxter operators: sector structure, commutativity, persistence."""
+import cmath
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,24 @@ def test_coefficients_vanish_above_occupation(l, n, s):
         assert fam.coefficients(a) is stacks
 
 
+@pytest.mark.parametrize("l,n,s", [(2, 2, (1, 1, 1)), (3, 2, (1, 1, 1, 1)),
+                                   (1, 3, (1, 2))])
+def test_q_op_matches_dense_assembly(l, n, s):
+    """q_op is the dense matrix of the stack, exactly: each sector block is
+    its dressing times the Horner sum of its coefficients, placed at the
+    sector's basis indices."""
+    twist, grading = TwistConfig.default(l), GradingConfig(s)
+    fam = QFamily(n, twist, grading, QContext(q=0.7, tau=twist.tau))
+    for a in range(1, l + 2):
+        for zeta in (0.55, 0.6 + 0.3j, 1j):
+            ref = np.zeros((fam.dim, fam.dim), dtype=complex)
+            for label, idxs in fam.sectors.items():
+                d = dressing_exponent(a, label, twist, grading)
+                ref[np.ix_(idxs, idxs)] = cmath.exp(d * cmath.log(zeta)) \
+                    * horner(fam.coefficients(a)[label], zeta ** grading.total)
+            assert np.array_equal(fam.q_op(a, zeta), ref), (a, zeta)
+
+
 def test_q_operators_commute():
     twist, grading, ctx, fam = make_setup(1, 2)
     a = fam.q_op(1, 0.41)
@@ -137,9 +157,10 @@ def test_dressing_exponent_telescopes():
 def test_generalized_q_reduces_to_single():
     twist, grading, ctx, fam = make_setup(1, 1)
     single = fam.generalized_q((1,), 0.53)
-    assert np.max(np.abs(single - fam.q_op(1, 0.53))) == 0.0
+    assert np.max(np.abs(single - fam.q_blocks(1, 0.53))) == 0.0
     empty = fam.generalized_q((), 0.53)
-    assert np.max(np.abs(empty - np.eye(fam.dim))) == 0.0
+    assert np.max(np.abs(empty - fam.identity())) == 0.0
+    assert np.max(np.abs(fam.dense(empty) - np.eye(fam.dim))) == 0.0
 
 
 def test_op_det_matches_scalar_determinant():
