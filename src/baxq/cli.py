@@ -2,14 +2,14 @@
 
 Subcommands:
 
-* ``verify``   -- run the selected residual-check suites and write a JSON
-  report (optionally with binary matrix dumps);
-* ``bethe``    -- extract Bethe roots per sector and report nested-equation
-  residuals (JSON plus a CSV table);
-* ``lweights`` -- sample the weight-factorization identities;
-* ``dump-l``   -- inspect the symbolic Lax matrix entries.
+* ``verify`` -- run the selected residual-check suites (``--suite``, default
+  all) on one Q-family; write a JSON report, a CSV summary and, with
+  ``--dump-matrices``, the Baxter matrices in binary;
+* ``dump-l`` -- inspect the symbolic Lax matrix entries.
 
-Every run echoes its full configuration into the report so the numbers are
+The flags given override the fields of the ``--config`` file, which override
+`RunConfig`'s defaults; `RunConfig.validate` checks the result.  Every run
+echoes its full configuration into the report so the numbers are
 reproducible from the report alone.
 """
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import random
 import sys
@@ -53,9 +54,37 @@ TOLERANCES = {
 ZETAS = (0.55, 0.35)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _is_list(is_item, none_too=False):
+    return lambda v: (none_too and v is None) or (
+        isinstance(v, (list, tuple)) and all(map(is_item, v)))
+
+
+# What each configuration field must hold (None for tau and s stands for
+# the default).  A config file can put any JSON value into any field.
+_FIELD_TYPES = {
+    "l": ("an int", _is_int),
+    "n": ("an int", _is_int),
+    "q": ("a finite real number", _is_real),
+    "tau": ("a list of finite numbers", _is_list(_is_real, none_too=True)),
+    "s": ("a list of ints", _is_list(_is_int, none_too=True)),
+    "suites": ("a list of strings", _is_list(lambda x: isinstance(x, str))),
+    "seed": ("an int", _is_int),
+    "out": ("a string", lambda v: isinstance(v, str)),
+    "dump_matrices": ("a bool", lambda v: isinstance(v, bool)),
+}
+
+
 @dataclass
 class RunConfig:
-    """Validated parameters of one CLI run."""
+    """Parameters of one CLI run; `validate` checks them."""
 
     l: int = 2
     n: int = 2
@@ -64,9 +93,8 @@ class RunConfig:
     s: Optional[Tuple[int, ...]] = None
     suites: Tuple[str, ...] = ALL_SUITES
     seed: int = 0
-    out: Optional[str] = None
+    out: str = "baxq-out"
     dump_matrices: bool = False
-    allow_any_q: bool = False
 
     def resolved_tau(self) -> Tuple[float, ...]:
         return self.tau if self.tau is not None \
@@ -77,13 +105,15 @@ class RunConfig:
             else GradingConfig.principal(self.l).s
 
     def validate(self) -> None:
+        for name, (kind, is_kind) in _FIELD_TYPES.items():
+            if not is_kind(getattr(self, name)):
+                raise ValueError("config field %r must be %s" % (name, kind))
         if self.l < 1:
             raise ValueError("l must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.allow_any_q and not 0.0 < self.q < 1.0:
-            raise ValueError("q must lie in (0, 1); pass allow_any_q to "
-                             "override")
+        if not 0.0 < self.q < 1.0:
+            raise ValueError("q must lie in (0, 1)")
         tau = self.resolved_tau()
         if len(tau) != self.l + 1:
             raise ValueError("tau must have l + 1 components")
@@ -101,9 +131,12 @@ class RunConfig:
         if len(s) != self.l + 1 or any(x < 0 for x in s) or sum(s) < 1:
             raise ValueError("grading must be l + 1 non-negative integers "
                              "with positive sum")
-        if self.n * (self.l + 1) ** self.n > 2000:
+        # l <= 4 bounds the intertwiner system (8,750 x 625 at l = 4, 22,032
+        # x 1,296 at l = 5).  n <= 7 is implied; testing it first keeps the
+        # power small.
+        if self.l > 4 or self.n > 7 or self.n * (self.l + 1) ** self.n > 2000:
             raise ValueError("requested chain exceeds the desk-scale "
-                             "resource bound")
+                             "resource bound (l <= 4 and n (l+1)^n <= 2000)")
         for suite in self.suites:
             if suite not in ALL_SUITES:
                 raise ValueError("unknown suite %r (choose from %s)"
@@ -119,13 +152,6 @@ class RunConfig:
         }
 
 
-def _family(config: RunConfig) -> QFamily:
-    twist = TwistConfig(config.resolved_tau())
-    grading = GradingConfig(config.resolved_s())
-    ctx = QContext(q=config.q, tau=twist.tau)
-    return QFamily(config.n, twist, grading, ctx)
-
-
 def _report_entry(rep: funcrel.RelationReport,
                   tolerance: float = TOLERANCES["relations"]) -> dict:
     return {
@@ -137,10 +163,9 @@ def _report_entry(rep: funcrel.RelationReport,
     }
 
 
-def _relations_suite(config: RunConfig, fam: QFamily,
-                     rng: random.Random) -> List[dict]:
+def _relations_suite(fam: QFamily, rng: random.Random) -> List[dict]:
     tq = funcrel.TransferFromQ(fam)
-    l = config.l
+    l = fam.l
     z0, z_small = ZETAS[0], min(ZETAS)
     reps = [funcrel.check_unit_q(fam, z0)]
     # Distinct weight entries keep the antisymmetrized terms nonzero, so
@@ -171,14 +196,14 @@ def _relations_suite(config: RunConfig, fam: QFamily,
     return out
 
 
-def _bethe_suite(config: RunConfig, fam: QFamily) -> dict:
+def _bethe_suite(fam: QFamily, rng: random.Random) -> dict:
     """Roots and nested-equation residuals of every eigenline.
 
     A sector whose eigenbasis or polynomials cannot be formed (an
     ArithmeticError) gives one failed entry per eigenline under "failures".
     """
     bs = BetheSystem(fam)
-    l = config.l
+    l = fam.l
     path = tuple(range(1, l + 2))
     polys_out, residuals, failures = [], [], []
     for label in sorted(fam.sectors, key=lambda lb: lb.k):
@@ -224,8 +249,7 @@ def _bethe_suite(config: RunConfig, fam: QFamily) -> dict:
             "failures": failures, "health": health}
 
 
-def _lweights_suite(config: RunConfig, rng: random.Random) -> dict:
-    ctx = QContext(q=config.q)
+def _lweights_suite(fam: QFamily, rng: random.Random) -> dict:
     results = []
     for l in (1, 2, 3):
         worst_c = worst_w = 0.0
@@ -233,7 +257,7 @@ def _lweights_suite(config: RunConfig, rng: random.Random) -> dict:
             mu = [rng.uniform(-2, 2) for _ in range(l + 1)]
             z = complex(rng.uniform(0.2, 0.8), rng.uniform(-0.3, 0.3))
             u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            c, w = check_shifted_product(mu, z, u, l, ctx)
+            c, w = check_shifted_product(mu, z, u, l, fam.ctx)
             worst_c, worst_w = max(worst_c, c), max(worst_w, w)
         mu = [rng.uniform(-2, 2) for _ in range(l + 1)]
         base = [[rng.randrange(3) for _ in range(l)] for _ in range(l + 1)]
@@ -257,11 +281,26 @@ def _lweights_suite(config: RunConfig, rng: random.Random) -> dict:
     return {"cases": results}
 
 
-def run_suite(config: RunConfig) -> dict:
-    """Execute the selected suites and assemble the report dictionary.
+# Each suite's runner, called with the run's family and rng, and the test of
+# whether the part of the report it returns passed.
+_SUITES = {
+    "relations": (_relations_suite, lambda rs: all(r["passed"] for r in rs)),
+    "bethe": (_bethe_suite,
+              lambda b: not b["failures"]
+              and all(r["passed"] for r in b["residuals"])),
+    "lweights": (_lweights_suite,
+                 lambda lw: all(c["passed"] for c in lw["cases"])),
+}
 
-    The relations and Bethe suites share one Q-family.  `timings` holds the
-    wall time of each suite that ran, `elapsed_seconds` that of the run.
+
+def run_suite(config: RunConfig) -> dict:
+    """Run the selected suites on one Q-family and assemble the report.
+
+    Suites run in `ALL_SUITES` order whatever order `config.suites` gives,
+    so the relations draw from the seeded rng before the l-weights.
+    `timings` holds the wall time of each suite that ran, `elapsed_seconds`
+    that of the run.  With `dump_matrices`, every Q_a of the same family is
+    also written into `config.out`.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -274,28 +313,19 @@ def run_suite(config: RunConfig) -> dict:
             "python": sys.version.split()[0],
         },
     }
-    fam = _family(config)
+    fam = QFamily(config.n, TwistConfig(config.resolved_tau()),
+                  GradingConfig(config.resolved_s()), QContext(q=config.q))
     timings = {}
     ok = True
-    if "relations" in config.suites:
-        start = time.perf_counter()
-        rels = _relations_suite(config, fam, rng)
-        timings["relations"] = time.perf_counter() - start
-        report["relations"] = rels
-        ok = ok and all(r["passed"] for r in rels)
-    if "bethe" in config.suites:
-        start = time.perf_counter()
-        bet = _bethe_suite(config, fam)
-        timings["bethe"] = time.perf_counter() - start
-        report["bethe"] = bet
-        ok = (ok and all(r["passed"] for r in bet["residuals"])
-              and not bet["failures"])
-    if "lweights" in config.suites:
-        start = time.perf_counter()
-        lw = _lweights_suite(config, rng)
-        timings["lweights"] = time.perf_counter() - start
-        report["lweights"] = lw
-        ok = ok and all(c["passed"] for c in lw["cases"])
+    for name in ALL_SUITES:
+        if name in config.suites:
+            runner, passed = _SUITES[name]
+            start = time.perf_counter()
+            report[name] = runner(fam, rng)
+            timings[name] = time.perf_counter() - start
+            ok = ok and passed(report[name])
+    if config.dump_matrices:
+        _dump_matrices(config, fam)
     report["passed"] = ok
     report["timings"] = timings
     report["elapsed_seconds"] = time.perf_counter() - t0
@@ -329,19 +359,19 @@ def emit_report(report: dict, out_dir: str) -> str:
     return path
 
 
-def _dump_matrices(config: RunConfig, out_dir: str) -> None:
-    fam = _family(config)
+def _dump_matrices(config: RunConfig, fam: QFamily) -> None:
+    """Write each Q_a(ZETAS[0]) of `fam` and its sidecar into config.out."""
+    os.makedirs(config.out, exist_ok=True)
     meta = config.to_dict()
     z = ZETAS[0]
     for a in range(1, config.l + 2):
-        m = fam.q_op(a, z)
-        save_matrix(os.path.join(out_dir, "q_%d.bin" % a), m,
+        save_matrix(os.path.join(config.out, "q_%d.bin" % a), fam.q_op(a, z),
                     dict(meta, a=a, zeta=[z, 0.0]))
 
 
 def _dump_l_json(config: RunConfig) -> dict:
-    fam = _family(config)
-    lop = build_L(ZETAS[0], fam.grading, fam.ctx)
+    s = config.resolved_s()
+    lop = build_L(ZETAS[0], GradingConfig(s), QContext(q=config.q))
     entries = {}
     for i in range(1, config.l + 2):
         for j in range(1, config.l + 2):
@@ -357,41 +387,31 @@ def _dump_l_json(config: RunConfig) -> dict:
                 for (key, _), c in expr.terms
             ]
     return {
-        "l": config.l, "zeta": ZETAS[0], "s": list(fam.grading.s),
+        "l": config.l, "zeta": ZETAS[0], "s": list(s),
         "entries": entries,
     }
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as f:
             data = json.load(f)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         for k, v in data.items():
-            if not hasattr(cfg, k):
+            if k not in _FIELD_TYPES:
                 raise ValueError("unknown config field %r" % k)
-            if isinstance(v, list):
-                v = tuple(v)
-            setattr(cfg, k, v)
-    if args.l is not None:
-        cfg.l = args.l
-        if cfg.tau is not None and len(cfg.tau) != cfg.l + 1:
-            cfg.tau = None
-    if args.n is not None:
-        cfg.n = args.n
-    if args.q is not None:
-        cfg.q = args.q
-    if args.tau is not None:
-        cfg.tau = tuple(float(x) for x in args.tau.split(","))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "suite", None):
-        cfg.suites = tuple(args.suite.split(","))
-    if args.out is not None:
-        cfg.out = args.out
-    if getattr(args, "dump_matrices", False):
-        cfg.dump_matrices = True
+            setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
+    for name in _FIELD_TYPES:
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     return cfg
+
+
+def float_list(text: str) -> Tuple[float, ...]:
+    """The floats of a comma-separated list (the --tau flag)."""
+    return tuple(float(x) for x in text.split(","))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -399,7 +419,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=int, help="rank (chain has l+1 colors)")
     p.add_argument("--n", type=int, help="number of chain sites")
     p.add_argument("--q", type=float, help="deformation parameter")
-    p.add_argument("--tau", help="comma-separated twist parameters")
+    p.add_argument("--tau", type=float_list,
+                   help="comma-separated twist parameters")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="random seed")
 
@@ -413,58 +434,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_verify = sub.add_parser("verify", help="run residual-check suites")
     _add_common(p_verify)
-    p_verify.add_argument("--suite", help="comma list: relations,bethe,"
-                                          "lweights (default all)")
-    p_verify.add_argument("--dump-matrices", action="store_true",
-                          dest="dump_matrices",
+    p_verify.add_argument("--suite", dest="suites",
+                          type=lambda text: tuple(text.split(",")),
+                          help="comma list: relations,bethe,lweights "
+                               "(default all)")
+    p_verify.add_argument("--dump-matrices", action="store_true", default=None,
                           help="persist Baxter matrices next to the report")
 
-    p_bethe = sub.add_parser("bethe", help="roots and equation residuals")
-    _add_common(p_bethe)
-
-    p_lw = sub.add_parser("lweights", help="weight-factorization residuals")
-    _add_common(p_lw)
-
-    p_dump = sub.add_parser("dump-l", help="inspect the symbolic Lax matrix")
-    _add_common(p_dump)
+    _add_common(sub.add_parser("dump-l",
+                               help="inspect the symbolic Lax matrix"))
 
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        if args.command in ALL_SUITES:
-            cfg.suites = (args.command,)
         cfg.validate()
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("baxq: error: %s" % exc, file=sys.stderr)
         return 2
-    out_dir = cfg.out or "baxq-out"
-
-    if args.command in ("verify", "bethe", "lweights"):
-        report = run_suite(cfg)
-        path = emit_report(report, out_dir)
-        if args.command == "bethe":
-            bet = report["bethe"]
-            bad = [r for r in bet["residuals"] if not r["passed"]]
-            print("report written to %s (%d residuals, %d failing, %d "
-                  "eigenlines failed)" % (path, len(bet["residuals"]),
-                                          len(bad), len(bet["failures"])))
-        else:
-            if args.command == "verify" and cfg.dump_matrices:
-                _dump_matrices(cfg, out_dir)
-            print("report written to %s (passed=%s)" % (path,
-                                                        report["passed"]))
-        return 0 if report["passed"] else 1
 
     if args.command == "dump-l":
         doc = _dump_l_json(cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "l_operator.json")
+        os.makedirs(cfg.out, exist_ok=True)
+        path = os.path.join(cfg.out, "l_operator.json")
         with open(path, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
         print("L-operator dump written to %s" % path)
         return 0
 
-    raise AssertionError("unreachable")
+    report = run_suite(cfg)
+    path = emit_report(report, cfg.out)
+    print("report written to %s (passed=%s)" % (path, report["passed"]))
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

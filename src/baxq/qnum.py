@@ -21,9 +21,8 @@ class QContext:
     Attributes:
         q: The deformation parameter (nonzero, not a root of unity; the
             default regime is real with 0 < q < 1).
-        tau: Numeric values of the twist parameters tau_1..tau_{l+1}, kept
-            for callers that record them; the Q builds read the twist from
-            `TwistConfig`.
+        tau: Unused by the library, whose twist lives in `TwistConfig`;
+            kept only because the benchmark's workloads pass it.
     """
 
     q: complex = 0.7

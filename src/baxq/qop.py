@@ -243,7 +243,7 @@ class QFamily:
         self.n = n
         self.twist = twist
         self.grading = grading
-        self.ctx = QContext(q=ctx.q, tau=tuple(twist.tau))
+        self.ctx = ctx
         self.sectors = sectors(grading.l, n)
         self._sizes = np.array([len(idxs) for idxs in self.sectors.values()])
         self._dress = {a: [dressing_exponent(a, k, twist, grading) for k in

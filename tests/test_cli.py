@@ -1,10 +1,15 @@
 """CLI: configuration validation, suites, report files, exit codes."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from baxq.cli import TOLERANCES, RunConfig, main, run_suite
+from baxq import qop
+from baxq.borelhoms import TwistConfig
+from baxq.cli import _FIELD_TYPES, TOLERANCES, RunConfig, main, run_suite
+from baxq.lop import GradingConfig
+from baxq.qnum import QContext
 from baxq.qop import load_matrix
 
 
@@ -23,11 +28,24 @@ def test_config_validation_errors():
         RunConfig(l=1, n=9).validate()  # resource bound
     with pytest.raises(ValueError):
         RunConfig(suites=("nonsense",)).validate()
+    assert set(_FIELD_TYPES) == {f.name for f in fields(RunConfig)}
 
 
-def test_config_allows_exotic_q_with_flag():
-    cfg = RunConfig(l=1, n=1, q=1.3, allow_any_q=True)
-    cfg.validate()
+def test_guard_admits_only_chains_the_default_twist_serves(capsys):
+    """Every (l, n) the resource guard admits validates with the default
+    twist; l = 5 fails the guard even with a generic twist."""
+    admitted = [(l, n) for l in range(1, 5) for n in range(1, 8)
+                if n * (l + 1) ** n <= 2000]
+    assert len(admitted) == 19 and (4, 3) in admitted
+    for l, n in admitted:
+        RunConfig(l=l, n=n).validate()
+    with pytest.raises(ValueError, match="l <= 4"):
+        RunConfig(l=4, n=4).validate()
+    assert main(["verify", "--l", "5", "--n", "1",
+                 "--tau", "0.13,0.71,1.37,2.09,2.83,3.52"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("baxq: error: requested chain exceeds") \
+        and "l <= 4" in err and err.count("\n") == 1
 
 
 def test_run_suite_relations_pass():
@@ -161,21 +179,49 @@ def test_verify_dump_matrices_roundtrip(tmp_path):
     mat, meta = load_matrix(out + "/q_1.bin")
     assert meta["l"] == 1 and meta["a"] == 1
     # reproduce the matrix from the recorded configuration
-    from baxq.borelhoms import TwistConfig
-    from baxq.lop import GradingConfig
-    from baxq.qnum import QContext
-    from baxq.qop import QFamily
-
     twist = TwistConfig(tuple(meta["tau"]))
-    fam = QFamily(meta["n"], twist, GradingConfig(tuple(meta["s"])),
-                  QContext(q=meta["q"], tau=twist.tau))
+    fam = qop.QFamily(meta["n"], twist, GradingConfig(tuple(meta["s"])),
+                      QContext(q=meta["q"], tau=twist.tau))
     fresh = fam.q_op(1, meta["zeta"][0] + 1j * meta["zeta"][1])
     assert np.max(np.abs(fresh - mat)) < 1e-12
 
 
-def test_bethe_subcommand(tmp_path):
+def test_verify_dump_reuses_the_run_family(tmp_path, monkeypatch):
+    """A dumped run walks each Q'_a once (3 walks at l = 2), and the dumped
+    matrices are the family's q_op."""
+    calls = []
+    walk = qop.q_prime
+    monkeypatch.setattr(qop, "q_prime",
+                        lambda a, *rest: calls.append(a) or walk(a, *rest))
+    out = str(tmp_path / "dump")
+    assert main(["verify", "--l", "2", "--n", "3", "--out", out,
+                 "--dump-matrices"]) == 0
+    assert sorted(calls) == [1, 2, 3]
+    fam = qop.QFamily(3, TwistConfig.default(2), GradingConfig.principal(2),
+                      QContext(q=0.7))
+    for a in (1, 2, 3):
+        mat, meta = load_matrix(out + "/q_%d.bin" % a)
+        assert meta["a"] == a and meta["zeta"] == [0.55, 0.0]
+        assert np.array_equal(mat, fam.q_op(a, 0.55))
+
+
+def test_suite_order_does_not_change_the_report():
+    """Suites run in one fixed order, so the relations draw from the rng
+    before the l-weights however --suite lists them."""
+    reports = [run_suite(RunConfig(l=1, n=2, seed=3, suites=suites))
+               for suites in (("relations", "lweights"),
+                              ("lweights", "relations"))]
+    for rep in reports:  # wall-clock fields and the echoed order
+        rep.pop("elapsed_seconds")
+        rep.pop("timings")
+        rep["config"].pop("suites")
+    assert reports[0] == reports[1]
+
+
+def test_verify_suite_bethe(tmp_path):
     out = str(tmp_path / "bethe")
-    code = main(["bethe", "--l", "1", "--n", "2", "--out", out])
+    code = main(["verify", "--suite", "bethe", "--l", "1", "--n", "2",
+                 "--out", out])
     assert code == 0
     with open(out + "/report.json") as f:
         report = json.load(f)
@@ -183,9 +229,9 @@ def test_bethe_subcommand(tmp_path):
     assert all(r["passed"] for r in report["bethe"]["residuals"])
 
 
-def test_lweights_subcommand(tmp_path):
+def test_verify_suite_lweights(tmp_path):
     out = str(tmp_path / "lw")
-    code = main(["lweights", "--out", out])
+    code = main(["verify", "--suite", "lweights", "--out", out])
     assert code == 0
     with open(out + "/report.json") as f:
         report = json.load(f)
@@ -224,6 +270,37 @@ def test_config_file_rejects_unknown_field(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == \
         "baxq: error: unknown config field 'wibble'\n"
+
+
+@pytest.mark.parametrize("data, flags, message", [
+    ({"l": "2"}, [], "config field 'l' must be an int"),
+    ({"l": True}, [], "config field 'l' must be an int"),
+    ({"n": 2.5}, [], "config field 'n' must be an int"),
+    ({"seed": 1.5}, [], "config field 'seed' must be an int"),
+    ({"q": "0.7"}, [], "config field 'q' must be a finite real number"),
+    ({"tau": [1.0, "x", 2.0]}, [],
+     "config field 'tau' must be a list of finite numbers"),
+    ({"tau": [float("inf"), 0.3, 1.7]}, [],
+     "config field 'tau' must be a list of finite numbers"),
+    ({"s": [1, 1.0, 1]}, [], "config field 's' must be a list of ints"),
+    ({"suites": "relations"}, [],
+     "config field 'suites' must be a list of strings"),
+    ({"dump_matrices": "yes"}, [], "config field 'dump_matrices' must be a "
+                                   "bool"),
+    ({"out": 3}, [], "config field 'out' must be a string"),
+    ([1, 2], [], "config file must hold a JSON object"),
+    ({"validate": 1}, [], "unknown config field 'validate'"),
+    ({"l": 2, "tau": [3.1, 1.9, 0.7]}, ["--l", "1"],
+     "tau must have l + 1 components"),
+])
+def test_malformed_config_file_exits_with_status_2(tmp_path, monkeypatch,
+                                                   capsys, data, flags,
+                                                   message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    assert main(["verify", "--config", "cfg.json"] + flags) == 2
+    assert capsys.readouterr().err == "baxq: error: %s\n" % message
+    assert not (tmp_path / "baxq-out").exists()
 
 
 def test_invalid_configuration_exits_with_status_2(tmp_path, capsys):
