@@ -1,33 +1,28 @@
 """Bethe-root extraction from Q-eigenvalues and nested-equation residuals.
 
 `QFamily.coefficients(a)` holds Q'_a exactly, as a stack of coefficients in
-z = zeta^s per weight sector.  One eigenbasis per sector diagonalizes every
-slice of every Q'_a; along an eigenline the diagonal is a polynomial of
-degree k_a, and a generalized Q-function (a determinant of shifted Q_a's) is
-a power of zeta times the determinant of shifted scalar polynomials.  These
-are formed and factored without evaluating any operator (`eigenvalue`, the
-dense projection, is the tests' reference).  The nested Bethe equations,
-leveled product form and generic three-Q ratio form, are evaluated at the
-roots; a damped Newton solver for the leveled form cross-checks them.
+z = zeta^s per weight sector, and `QFamily.basis` gives each sector's joint
+eigenbasis, which diagonalizes every slice of every Q'_a.  Along an
+eigenline the diagonal is a polynomial of degree k_a, and a generalized
+Q-function (a determinant of shifted Q_a's) is a power of zeta times the
+determinant of shifted scalar polynomials.  These are formed and factored
+without evaluating any operator.  The nested Bethe equations, leveled
+product form and generic three-Q ratio form, are evaluated at the roots; a
+damped Newton solver for the leveled form cross-checks them.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .qop import QFamily, SectorLabel, dressing_exponent, horner, op_det
+from .qop import QFamily, SectorLabel, dressing_exponent, op_det
 
-# Each sector's basis diagonalizes sum_a GAMMA^(a-1) Q'_a(z_a), z_a = zeta^s
-# with zeta cycling through BASIS_ZETAS.  DIAG_TOL bounds the relative
-# off-diagonal of every slice in that basis, RECON_TOL the relative size of
-# an eigenline's coefficients above degree k_a.
-BASIS_ZETAS = (0.43, 0.67)
-GAMMA = 0.37 + 0.21j
-DIAG_TOL = 1e-8
+# RECON_TOL bounds the relative size of an eigenline's coefficients above
+# degree k_a.
 RECON_TOL = 1e-7
 # Newton iteration of `solve_bae_newton`: step cap, damping, residual bound.
 NEWTON_MAX_ITER, NEWTON_DAMPING, NEWTON_TOL = 200, 1.0, 1e-10
@@ -78,59 +73,9 @@ class BetheSystem:
 
     def __init__(self, fam: QFamily):
         self.fam = fam
-        self._bases: Dict[SectorLabel, tuple] = {}
-        # Per sector: smallest eigenvalue separation of the basis operator
-        # (relative to its largest eigenvalue; None on a one-line sector)
-        # and worst relative off-diagonal of any coefficient slice.
-        self.health: Dict[SectorLabel, dict] = {}
-
-    def _basis(self, label: SectorLabel) -> tuple:
-        """(V, V^-1, {a: coefficients of Q'_a, one row per eigenline})."""
-        if label in self._bases:
-            return self._bases[label]
-        s = self.fam.grading.total
-        stacks = {a: self.fam.coefficients(a)[label]
-                  for a in range(1, self.fam.l + 2)}
-        # Combine every Q'_a: where one is scalar (k_a = 0), the others
-        # still split the spectrum.
-        b = sum(GAMMA ** (a - 1) * horner(c, BASIS_ZETAS[(a - 1) % 2] ** s)
-                for a, c in stacks.items())
-        vals, vecs = np.linalg.eig(b)
-        vinv = np.linalg.inv(vecs)
-        residues, coeffs = {}, {}
-        for a, c in stacks.items():
-            d = vinv @ c @ vecs
-            diag = np.diagonal(d, axis1=1, axis2=2)
-            off = np.abs(d - diag[:, :, None] * np.eye(len(vals))).max()
-            residues[a] = float(off / max(np.abs(d).max(), 1e-300))
-            coeffs[a] = diag.T
-        worst = max(residues, key=residues.get)
-        gaps = np.abs(vals[:, None] - vals[None, :])[
-            np.triu_indices(len(vals), 1)]
-        self.health[label] = {
-            "min_separation": (float(gaps.min()
-                                     / max(np.max(np.abs(vals)), 1e-300))
-                               if gaps.size else None),
-            "offdiag_residue": residues[worst],
-        }
-        # A basis that leaves some slice non-diagonal means a degenerate
-        # spectrum on this sector.
-        if residues[worst] > DIAG_TOL:
-            raise ArithmeticError("sector %s eigenbasis does not diagonalize "
-                                  "Q_%d (relative off-diagonal %.2e)"
-                                  % (label.k, worst, residues[worst]))
-        self._bases[label] = (vecs, vinv, coeffs)
-        return self._bases[label]
 
     def n_lines(self, label: SectorLabel) -> int:
         return len(self.fam.sectors[label])
-
-    def eigenvalue(self, a_tuple: Sequence[int], label: SectorLabel,
-                   eigenline: int, zeta: complex) -> complex:
-        """Dense reference: the generalized Q at zeta, projected."""
-        vecs, vinv, _ = self._basis(label)
-        q = self.fam.block(self.fam.generalized_q(a_tuple, zeta), label)
-        return complex(vinv[eigenline] @ q @ vecs[:, eigenline])
 
     def eigen_polynomial(self, a_tuple: Sequence[int], label: SectorLabel,
                          eigenline: int) -> BethePolynomial:
@@ -142,7 +87,7 @@ class BetheSystem:
         dropped above degree k_a.
         """
         at = tuple(a_tuple)
-        coeffs = self._basis(label)[2]
+        coeffs = self.fam.basis(label)[2]
         fam, p = self.fam, len(at)
         s = fam.grading.total
         pref, resid, rows = 0.0, 0.0, []

@@ -114,6 +114,12 @@ class RunConfig:
             raise ValueError("n must be >= 1")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
+        # l <= 4 bounds the intertwiner system (8,750 x 625 at l = 4, 22,032
+        # x 1,296 at l = 5), and comes before any default of size l + 1 is
+        # built.  n <= 7 is implied; testing it first keeps the power small.
+        if self.l > 4 or self.n > 7 or self.n * (self.l + 1) ** self.n > 2000:
+            raise ValueError("requested chain exceeds the desk-scale "
+                             "resource bound (l <= 4 and n (l+1)^n <= 2000)")
         tau = self.resolved_tau()
         if len(tau) != self.l + 1:
             raise ValueError("tau must have l + 1 components")
@@ -131,12 +137,6 @@ class RunConfig:
         if len(s) != self.l + 1 or any(x < 0 for x in s) or sum(s) < 1:
             raise ValueError("grading must be l + 1 non-negative integers "
                              "with positive sum")
-        # l <= 4 bounds the intertwiner system (8,750 x 625 at l = 4, 22,032
-        # x 1,296 at l = 5).  n <= 7 is implied; testing it first keeps the
-        # power small.
-        if self.l > 4 or self.n > 7 or self.n * (self.l + 1) ** self.n > 2000:
-            raise ValueError("requested chain exceeds the desk-scale "
-                             "resource bound (l <= 4 and n (l+1)^n <= 2000)")
         for suite in self.suites:
             if suite not in ALL_SUITES:
                 raise ValueError("unknown suite %r (choose from %s)"
@@ -152,37 +152,41 @@ class RunConfig:
         }
 
 
-def _report_entry(rep: funcrel.RelationReport,
-                  tolerance: float = TOLERANCES["relations"]) -> dict:
-    return {
-        "name": rep.name,
-        "residual": rep.residual,
-        "tolerance": tolerance,
-        "passed": rep.residual < tolerance,
-        "details": rep.details,
-    }
+def _report_entry(rep: funcrel.RelationReport) -> dict:
+    bound = TOLERANCES.get(rep.name, TOLERANCES["relations"])
+    passed = rep.residual is not None and rep.residual < bound
+    return {"name": rep.name, "residual": rep.residual, "tolerance": bound,
+            "passed": passed, "details": rep.details}
+
+
+# Relation entries read off the joint eigenbasis, in report order.
+Q_SIDE = ("unit-q", "master-tq", "master-tt", "t-system", "jacobi-trudi",
+          "qq-jacobi", "t-trivial", "t-shift", "t-reflect", "direct-transfer")
 
 
 def _relations_suite(fam: QFamily, rng: random.Random) -> List[dict]:
-    tq = funcrel.TransferFromQ(fam)
     l = fam.l
     z0, z_small = ZETAS[0], min(ZETAS)
-    reps = [funcrel.check_unit_q(fam, z0)]
     # Distinct weight entries keep the antisymmetrized terms nonzero, so
     # the residual normalization is meaningful.
     mu = rng.sample(range(0, l + 5), l + 2)
-    reps.append(funcrel.check_master_tq(tq, 1, mu, z0))
     mu2 = rng.sample(range(0, 2 * l + 6), 2 * l + 2)
-    reps.append(funcrel.check_master_tt(tq, mu2, z0))
-    reps.append(funcrel.check_t_system(tq, 1, 1, z0))
-    reps.append(funcrel.check_jacobi_trudi(tq, 1, 2, z_small))
-    reps.append(funcrel.check_qq_jacobi(fam, (), 1, 2, z0))
     nu = rng.randrange(1, 3)
     mu3 = sorted(rng.sample(range(0, l + 4), l + 1), reverse=True)
-    reps += funcrel.check_t_symmetries(tq, mu3, nu, z0, 1)
-    out = [_report_entry(rep) for rep in reps]
-    out.append(_report_entry(funcrel.check_direct_vs_q(tq, z0),
-                             TOLERANCES["direct-transfer"]))
+    try:
+        tq = funcrel.TransferFromQ(fam)
+        reps = [funcrel.check_unit_q(fam, z0),
+                funcrel.check_master_tq(tq, 1, mu, z0),
+                funcrel.check_master_tt(tq, mu2, z0),
+                funcrel.check_t_system(tq, 1, 1, z0),
+                funcrel.check_jacobi_trudi(tq, 1, 2, z_small),
+                funcrel.check_qq_jacobi(fam, (), 1, 2, z0)]
+        reps += funcrel.check_t_symmetries(tq, mu3, nu, z0, 1)
+        reps.append(funcrel.check_direct_vs_q(tq, z0))
+        out = [_report_entry(rep) for rep in reps]
+    except ArithmeticError as exc:
+        out = [dict(_report_entry(funcrel.RelationReport(name, None)),
+                    reason=str(exc)) for name in Q_SIDE]
     zs = (0.5, 0.9, 1.3)
     ybe = yang_baxter_residual(fam.grading, fam.ctx, *zs)
     out.append(_report_entry(funcrel.RelationReport(
@@ -243,7 +247,7 @@ def _bethe_suite(fam: QFamily, rng: random.Random) -> dict:
                                            "a product-form factor")
                     residuals.append(entry)
     health = [dict(sector=list(label.k), **h)
-              for label, h in sorted(bs.health.items(),
+              for label, h in sorted(fam.health.items(),
                                      key=lambda item: item[0].k)]
     return {"polynomials": polys_out, "residuals": residuals,
             "failures": failures, "health": health}

@@ -12,11 +12,12 @@ which the tests verify.
 The undressed operator Q'_a is a matrix polynomial of degree n in
 z = zeta^s that vanishes between weight sectors.  It is built once per a,
 from the zeta-free Lax matrix, as exact coefficients: one (n+1, m, m) stack
-per sector of size m.  Every operator of a family (Q_a at a given zeta,
-determinants of shifted Q's, the transfer operators of `funcrel`) is one
-(S, M, M) stack of its S sector blocks, each zero-padded to the largest
-sector size M; numpy's products and sums act on it block by block and keep
-the padding zero.  Only `QFamily.dense` forms (dim, dim) matrices.
+per sector of size m.  The Q'_a commute, so one basis per sector
+(`QFamily.basis`) diagonalizes every slice of every Q'_a, and every operator
+of a family (Q_a at a given zeta, determinants of shifted Q's, the transfer
+operators of `funcrel`) is a vector of its dim eigenvalues, ordered by
+sector (as in `sectors`) and then by basis column.  Only `QFamily.q_op`
+forms a (dim, dim) matrix.
 """
 from __future__ import annotations
 
@@ -29,9 +30,16 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .borelhoms import TwistConfig, module_signs, twist_diagonal
-from .lop import GradingConfig, LOperator, build_L_a
-from .oscalg import OscExpr, multiply, trace_powers
+from .lop import GradingConfig, build_L_a
+from .oscalg import multiply, trace_powers
 from .qnum import TOLERANCE, QContext
+
+# Each sector's basis diagonalizes sum_a GAMMA^(a-1) Q'_a(z_a), z_a = zeta^s
+# with zeta cycling through BASIS_ZETAS; DIAG_TOL bounds the relative
+# off-diagonal of every coefficient slice in that basis.
+BASIS_ZETAS = (0.43, 0.67)
+GAMMA = 0.37 + 0.21j
+DIAG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,16 +99,6 @@ def dressing_exponent(a: int, label: SectorLabel, twist: TwistConfig,
     return s * acc / (2 * (l + 1))
 
 
-def monodromy_entry(lop: LOperator, row_state: Sequence[int],
-                    col_state: Sequence[int], ctx: QContext) -> OscExpr:
-    """Oscillator entry L_{i_n j_n} ... L_{i_1 j_1} of the n-site monodromy."""
-    n = len(row_state)
-    expr = lop.entry(row_state[-1], col_state[-1])
-    for site in range(n - 2, -1, -1):
-        expr = multiply(expr, lop.entry(row_state[site], col_state[site]), ctx)
-    return expr
-
-
 def _walk(site: int, expr, row: int, col: int, weight: int, excess: list,
           env: tuple) -> None:
     """Fill Q' coefficients for every in-sector (row, col) pair extending a
@@ -148,9 +146,9 @@ def q_prime(a: int, n: int, twist: TwistConfig, grading: GradingConfig,
     One walk over the zeta-free monodromy: the graded trace of each
     in-sector entry times the twist, split by power of zeta.  Returns, per
     sector, a (n+1, m, m) array whose k-th slice multiplies z^k (rows and
-    columns in the order of `sectors`).  The entries are those of
-    `monodromy_entry`, with the same multiply order, but pairs of states
-    that share their last sites share the partial products over those sites.
+    columns in the order of `sectors`).  Entry (i, j) of the monodromy is
+    L_{i_n j_n} ... L_{i_1 j_1}, formed left to right; pairs of states that
+    share their last sites share the partial products over those sites.
     """
     l = grading.l
     lop = build_L_a(a, None, grading, ctx)
@@ -175,11 +173,11 @@ def horner(coeffs: np.ndarray, z: complex) -> np.ndarray:
     return out
 
 
-def op_det(blocks: list, product=np.matmul) -> np.ndarray:
+def op_det(blocks: list, product) -> np.ndarray:
     """Determinant of a matrix of mutually commuting entries.
 
     Cofactor expansion along the first row.  `product` multiplies two
-    entries: `np.matmul` for operators (sector stacks or dense ndarrays),
+    entries: `np.multiply` for eigenline values, `np.matmul` for matrices,
     `np.convolve` for polynomials (ascending coefficient arrays).
     """
     p = len(blocks)
@@ -232,8 +230,8 @@ def load_matrix(path: str) -> Tuple[np.ndarray, dict]:
 class QFamily:
     """Baxter operators of one chain (fixed l, n, twist, grading).
 
-    Each Q'_a is built once (`q_prime`).  Operators are (S, M, M) stacks of
-    sector blocks in the order of `sectors`; `dense` forms the matrix.
+    Each Q'_a is built once (`q_prime`), each sector's joint eigenbasis at
+    most once (`basis`); operators are vectors of eigenline values.
     """
 
     def __init__(self, n: int, twist: TwistConfig, grading: GradingConfig,
@@ -245,16 +243,16 @@ class QFamily:
         self.grading = grading
         self.ctx = ctx
         self.sectors = sectors(grading.l, n)
-        self._sizes = np.array([len(idxs) for idxs in self.sectors.values()])
+        self._sizes = [len(idxs) for idxs in self.sectors.values()]
         self._dress = {a: [dressing_exponent(a, k, twist, grading) for k in
                            self.sectors] for a in range(1, grading.l + 2)}
-        r = np.arange(self._sizes.max())
-        # Stack entries inside each sector's m x m corner; their dense places.
-        self._filled = np.maximum.outer(r, r) < self._sizes[:, None, None]
-        self._dense_at = np.concatenate([
-            (np.array(idxs)[:, None] * self.dim + idxs).ravel()
-            for idxs in self.sectors.values()])
         self._coeffs: dict = {}
+        self._bases: dict = {}
+        self._rows: dict = {}
+        # Per sector: smallest eigenvalue separation of the basis operator
+        # (relative to its largest eigenvalue; None on a one-line sector),
+        # worst relative off-diagonal of any coefficient slice.
+        self.health: Dict[SectorLabel, dict] = {}
 
     @property
     def l(self) -> int:
@@ -271,42 +269,79 @@ class QFamily:
                                       self.ctx)
         return self._coeffs[a]
 
+    def basis(self, label: SectorLabel) -> tuple:
+        """(V, V^-1, {a: coefficients of Q'_a, one row per eigenline}).
+
+        V diagonalizes sum_a GAMMA^(a-1) Q'_a(z_a) (see BASIS_ZETAS): where
+        one Q'_a is scalar (k_a = 0), the others still split the spectrum.
+        A slice left off-diagonal beyond DIAG_TOL means a degenerate
+        spectrum: ArithmeticError, raised again on every later call.
+        """
+        if label not in self._bases:
+            self._bases[label] = self._eigenbasis(label)
+        if isinstance(self._bases[label], ArithmeticError):
+            raise self._bases[label]
+        return self._bases[label]
+
+    def _eigenbasis(self, label: SectorLabel):
+        """`basis` of a sector, or the ArithmeticError for a degenerate one."""
+        s = self.grading.total
+        stacks = {a: self.coefficients(a)[label]
+                  for a in range(1, self.l + 2)}
+        b = sum(GAMMA ** (a - 1) * horner(c, BASIS_ZETAS[(a - 1) % 2] ** s)
+                for a, c in stacks.items())
+        vals, vecs = np.linalg.eig(b)
+        vinv = np.linalg.inv(vecs)
+        residues, coeffs = {}, {}
+        for a, c in stacks.items():
+            d = vinv @ c @ vecs
+            diag = np.diagonal(d, axis1=1, axis2=2)
+            off = np.abs(d - diag[:, :, None] * np.eye(len(vals))).max()
+            residues[a] = float(off / max(np.abs(d).max(), 1e-300))
+            coeffs[a] = diag.T
+        worst = max(residues, key=residues.get)
+        gaps = np.abs(vals[:, None] - vals[None, :])[
+            np.triu_indices(len(vals), 1)]
+        self.health[label] = {
+            "min_separation": (float(gaps.min()
+                                     / max(np.max(np.abs(vals)), 1e-300))
+                               if gaps.size else None),
+            "offdiag_residue": residues[worst],
+        }
+        if residues[worst] > DIAG_TOL:
+            return ArithmeticError("sector %s eigenbasis does not "
+                                   "diagonalize Q_%d (relative off-diagonal "
+                                   "%.2e)" % (label.k, worst, residues[worst]))
+        return vecs, vinv, coeffs
+
     def identity(self) -> np.ndarray:
-        """The identity stack: ones only on each sector's own diagonal."""
-        return self._filled * np.eye(self._filled.shape[-1], dtype=complex)
+        """The identity: 1 on every eigenline."""
+        return np.ones(self.dim, dtype=complex)
 
-    def block(self, x: np.ndarray, label: SectorLabel) -> np.ndarray:
-        """The m x m block of sector `label` in a stack (leading axes kept)."""
-        m = len(self.sectors[label])
-        return x[..., list(self.sectors).index(label), :m, :m]
-
-    def dense(self, x: np.ndarray) -> np.ndarray:
-        """The (dim, dim) matrix of a stack of sector blocks."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out.flat[self._dense_at] = x[self._filled]
-        return out
-
-    def q_blocks(self, a: int, zeta: complex) -> np.ndarray:
-        """Dressed Q_a(zeta) = zeta^{D_a} Q'_a(zeta^s) as a stack."""
+    def q_lines(self, a: int, zeta: complex) -> np.ndarray:
+        """Dressed Q_a(zeta) = zeta^{D_a} Q'_a(zeta^s) on every eigenline."""
+        if a not in self._rows:
+            # (n+1, dim): coefficient k of every eigenline, in line order.
+            self._rows[a] = np.concatenate(
+                [self.basis(label)[2][a].T for label in self.sectors], axis=1)
         dress = [cmath.exp(d * cmath.log(zeta)) for d in self._dress[a]]
-        # Sectors side by side, as `_filled` orders them: one Horner pass.
-        coeffs = np.concatenate([c.reshape(self.n + 1, -1) for c in
-                                 self.coefficients(a).values()], axis=1)
-        out = np.zeros(self._filled.shape, dtype=complex)
-        out[self._filled] = (np.repeat(dress, self._sizes ** 2)
-                             * horner(coeffs, zeta ** self.grading.total))
-        return out
+        return (np.repeat(dress, self._sizes)
+                * horner(self._rows[a], zeta ** self.grading.total))
 
     def q_op(self, a: int, zeta: complex) -> np.ndarray:
-        """Dressed Baxter operator Q_a(zeta), dense."""
-        return self.dense(self.q_blocks(a, zeta))
+        """Dressed Baxter operator Q_a(zeta), dense, from its sector blocks."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for d, (label, idxs) in zip(self._dress[a], self.sectors.items()):
+            out[np.ix_(idxs, idxs)] = cmath.exp(d * cmath.log(zeta)) * horner(
+                self.coefficients(a)[label], zeta ** self.grading.total)
+        return out
 
     def shifted_det(self, a_tuple: Sequence[int], powers: Sequence[float],
                     zeta: complex) -> np.ndarray:
         """det( Q_{a_i}(q^{p_j/s} zeta) ): row i is a_i, column j is p_j."""
         s = self.grading.total
-        return op_det([[self.q_blocks(a, self.ctx.qpow(p / s) * zeta)
-                        for p in powers] for a in a_tuple])
+        return op_det([[self.q_lines(a, self.ctx.qpow(p / s) * zeta)
+                        for p in powers] for a in a_tuple], np.multiply)
 
     def generalized_q(self, a_tuple: Sequence[int],
                       zeta: complex) -> np.ndarray:
@@ -318,7 +353,7 @@ class QFamily:
                                           for j in range(1, p + 1)], zeta)
 
     def c_l(self) -> np.ndarray:
-        """Twisted Weyl-denominator-type normalization, one value per sector.
+        """Twisted Weyl-denominator-type normalization, one value per line.
 
         Sector value: prod_{i<j} q^{e_ij/2} / (1 - q^{e_ij}) with
         e_ij = (k_i - k_j) - (tau_i - tau_j).
@@ -334,4 +369,4 @@ class QFamily:
                     raise ArithmeticError("degenerate twist in normalization")
                 val *= ctx.qpow(e / 2.0) / den
             out.append(val)
-        return np.array(out)
+        return np.repeat(out, self._sizes)

@@ -53,7 +53,10 @@ def test_run_suite_relations_pass():
     assert report["passed"]
     assert report["schema_version"] == 1
     names = [r["name"] for r in report["relations"]]
-    assert "master-tq" in names and "qq-jacobi" in names
+    assert names == ["unit-q", "master-tq", "master-tt", "t-system",
+                     "jacobi-trudi", "qq-jacobi", "t-trivial", "t-shift",
+                     "t-reflect", "direct-transfer", "yang-baxter",
+                     "q-commutativity"]
     assert all(r["passed"] for r in report["relations"])
 
 
@@ -144,12 +147,10 @@ def test_bethe_failures_at_l1_n6_are_exact_strings():
 
 
 def test_bethe_basis_failure_becomes_report_entry(monkeypatch):
-    from baxq.bethe import BetheSystem
-
     def broken(self, label):
         raise ArithmeticError("degenerate sector %s" % (label.k,))
 
-    monkeypatch.setattr(BetheSystem, "_basis", broken)
+    monkeypatch.setattr(qop.QFamily, "basis", broken)
     report = run_suite(RunConfig(l=1, n=2, suites=("bethe",)))
     assert not report["passed"]
     failures = report["bethe"]["failures"]
@@ -158,6 +159,52 @@ def test_bethe_basis_failure_becomes_report_entry(monkeypatch):
         ((0, 2), 0), ((1, 1), 0), ((1, 1), 1), ((2, 0), 0)}
     assert all(not f["passed"] and "degenerate sector" in f["reason"]
                for f in failures)
+
+
+def test_relations_basis_failure_becomes_report_entries(monkeypatch, tmp_path,
+                                                        capsys):
+    """One sector without a basis fails every entry read off the basis,
+    with no residual and a reason naming the sector; Yang-Baxter and the
+    dense q-commutator are still measured.  The report is valid JSON and
+    verify exits with status 1."""
+    names = [r["name"] for r in run_suite(_small())["relations"]]
+    basis = qop.QFamily.basis
+
+    def broken(self, label):
+        if label.k == (1, 1):
+            raise ArithmeticError("sector %s eigenbasis is degenerate"
+                                  % (label.k,))
+        return basis(self, label)
+
+    monkeypatch.setattr(qop.QFamily, "basis", broken)
+    report = run_suite(_small())
+    assert not report["passed"]
+    json.dumps(report, allow_nan=False)
+    rel = report["relations"]
+    assert [r["name"] for r in rel] == names and len(rel) == 12
+    for r in rel[:-2]:
+        assert r["residual"] is None and not r["passed"], r["name"]
+        assert "sector (1, 1)" in r["reason"]
+    assert [r["name"] for r in rel[-2:]] == ["yang-baxter", "q-commutativity"]
+    assert all(r["passed"] and "reason" not in r for r in rel[-2:])
+    out = str(tmp_path / "run")
+    assert main(["verify", "--l", "1", "--n", "2", "--suite", "relations",
+                 "--out", out]) == 1
+    with open(out + "/report.json") as f:
+        assert json.load(f)["relations"][0]["residual"] is None
+    assert capsys.readouterr().err == ""
+
+
+def test_full_run_builds_each_sector_basis_once(monkeypatch):
+    """The relations and Bethe suites read one joint eigenbasis per sector:
+    one eigendecomposition each in a full run."""
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda m: calls.append(m.shape) or eig(m))
+    report = run_suite(RunConfig(l=2, n=2))
+    assert report["passed"]
+    assert len(calls) == len(report["bethe"]["health"]) == 6
 
 
 def test_verify_writes_report_and_exit_code(tmp_path):
@@ -304,11 +351,30 @@ def test_malformed_config_file_exits_with_status_2(tmp_path, monkeypatch,
 
 
 def test_invalid_configuration_exits_with_status_2(tmp_path, capsys):
-    """At l = 5 the default twist has tau_1 - tau_6 = 6.0, an integer, which
-    validation rejects: one error line, status 2, no report."""
+    """l = 5 exceeds the resource guard, which is tested before any default
+    twist is built: one error line, status 2, no report.  A non-generic
+    twist at an admitted rank gives the twist message."""
     out = tmp_path / "l5"
     assert main(["verify", "--l", "5", "--n", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("baxq: error: tau_1 - tau_6 is within 1e-3 of an "
+    assert err.startswith("baxq: error: requested chain exceeds") \
+        and err.count("\n") == 1
+    assert not out.exists()
+    assert main(["verify", "--l", "1", "--tau", "1.0,0.0",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("baxq: error: tau_1 - tau_2 is within 1e-3 of an "
                           "integer") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_guard_is_tested_before_defaults_are_built(monkeypatch):
+    """Rejecting a huge rank builds no default twist or grading of that
+    size."""
+    def refuse(cls, l):
+        raise AssertionError("default built for l = %d" % l)
+
+    monkeypatch.setattr(TwistConfig, "default", classmethod(refuse))
+    monkeypatch.setattr(GradingConfig, "principal", classmethod(refuse))
+    with pytest.raises(ValueError, match="requested chain exceeds"):
+        RunConfig(l=10 ** 6, n=1).validate()

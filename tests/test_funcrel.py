@@ -2,14 +2,12 @@
 import numpy as np
 import pytest
 
-from baxq.borelhoms import TwistConfig
-from baxq.cli import TOLERANCES
+from baxq import funcrel, qop
+from baxq.cli import TOLERANCES, RunConfig, run_suite
 from baxq.funcrel import (TransferFromQ, check_direct_vs_q, check_jacobi_trudi,
                           check_master_tq, check_master_tt, check_qq_jacobi,
                           check_t_symmetries, check_t_system, check_unit_q)
-from baxq.lop import GradingConfig
-from baxq.qnum import QContext
-from baxq.qop import QFamily
+from baxq.qop import QFamily, SectorLabel
 
 from conftest import make_setup
 
@@ -119,25 +117,71 @@ def test_rank3_relations(tq32):
         assert rep.residual < TOL, (rep.name, rep.details, rep.residual)
 
 
-@pytest.mark.parametrize("l,n,s", [(3, 2, (1, 1, 1, 1)), (1, 3, (1, 2))])
-def test_stacks_are_zero_outside_sector_blocks(l, n, s):
-    """Every operator built from a family keeps the padding of each sector
-    block exactly zero: only the m x m corner of sector m is filled."""
-    twist = TwistConfig.default(l)
-    fam = QFamily(n, twist, GradingConfig(s), QContext(q=0.7, tau=twist.tau))
-    tq = TransferFromQ(fam)
-    size = max(map(len, fam.sectors.values()))
-    r = np.arange(size)
-    pad = np.array([~((r[:, None] < len(idxs)) & (r < len(idxs)))
-                    for idxs in fam.sectors.values()])
-    zeta = 0.6 + 0.3j
-    mu = list(range(l, -1, -1))
-    stacks = [fam.q_blocks(a, zeta) for a in range(1, l + 2)]
-    stacks += [fam.generalized_q(tuple(range(1, p + 1)), zeta)
-               for p in range(l + 2)]
-    stacks += [tq.s_op(mu, zeta), tq.t_op(mu, zeta)]
-    stacks += [tq.t_rect(a, m, zeta) for a in range(-1, l + 3)
-               for m in (0, 1, 2)]
-    for x in stacks:
-        assert x.shape == pad.shape
-        assert np.all(x[pad] == 0)
+def test_direct_transfer_must_be_diagonal_in_the_q_basis(tq12, monkeypatch):
+    """An R-matrix transfer operator that mixes two eigenlines of a sector
+    no longer commutes with the Q's; its eigenvalues alone would still
+    match, but the projected off-diagonal fails the check."""
+    rep = check_direct_vs_q(tq12, 0.66)
+    assert rep.details["offdiag_residue"] < 1e-12
+    fam = tq12.fam
+    vecs, vinv, _ = fam.basis(SectorLabel((1, 1)))
+    idxs = fam.sectors[SectorLabel((1, 1))]
+    orig = funcrel.direct_transfer
+
+    def mixed(*args):
+        t = orig(*args)
+        nilpotent = np.zeros((2, 2), dtype=complex)
+        nilpotent[0, 1] = 1e-3 * np.abs(t).max()
+        t[np.ix_(idxs, idxs)] += vecs @ nilpotent @ vinv
+        return t
+
+    monkeypatch.setattr(funcrel, "direct_transfer", mixed)
+    rep = check_direct_vs_q(tq12, 0.66)
+    assert rep.details["offdiag_residue"] > 1e-4
+    assert rep.residual >= rep.details["offdiag_residue"]
+    assert rep.residual > TOLERANCES["direct-transfer"]
+
+
+# Entries failed under each mutation by the same relations checked on
+# zero-padded sector stacks, measured at every chain of MUTATION_CHAINS.
+MUTATION_CHAINS = ((1, 3), (2, 2), (2, 3), (3, 2))
+SCALAR_SIDE = {"unit-q", "t-trivial", "t-system", "jacobi-trudi",
+               "direct-transfer"}
+
+
+def _roll_c_l(orig):
+    """c_l with its sector values moved one sector on."""
+    def c_l(self):
+        sizes = [len(idxs) for idxs in self.sectors.values()]
+        first = np.cumsum([0] + sizes[:-1])
+        return np.repeat(np.roll(orig(self)[first], 1), sizes)
+    return c_l
+
+
+@pytest.mark.parametrize("mutation", ["roll-c_l", "negate-dressing",
+                                      "negate-shift-powers"])
+def test_relations_fail_exactly_under_mutation(mutation, monkeypatch):
+    """The eigenline relations fail wherever the stack form failed: a
+    permuted normalization or a reversed dressing breaks the relations
+    that see absolute normalization, negated shifts also the shift
+    relations (unit-q at (3, 2) survives them, as on the stacks)."""
+    if mutation == "roll-c_l":
+        monkeypatch.setattr(QFamily, "c_l", _roll_c_l(QFamily.c_l))
+    elif mutation == "negate-dressing":
+        orig = qop.dressing_exponent
+        monkeypatch.setattr(qop, "dressing_exponent",
+                            lambda *args: -orig(*args))
+    else:
+        orig = QFamily.shifted_det
+        monkeypatch.setattr(QFamily, "shifted_det",
+                            lambda self, at, powers, zeta:
+                            orig(self, at, [-p for p in powers], zeta))
+    for l, n in MUTATION_CHAINS:
+        report = run_suite(RunConfig(l=l, n=n, suites=("relations",)))
+        failed = {r["name"] for r in report["relations"] if not r["passed"]}
+        expected = set(SCALAR_SIDE)
+        if mutation == "negate-shift-powers":
+            expected |= {"master-tq", "qq-jacobi", "t-shift"}
+            if (l, n) == (3, 2):
+                expected.discard("unit-q")
+        assert failed == expected, (mutation, l, n)

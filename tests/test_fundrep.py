@@ -8,6 +8,8 @@ from baxq.fundrep import (FundRep, coproduct_matrix, direct_transfer,
 from baxq.lop import GradingConfig
 from baxq.qnum import QContext
 
+from oracles import jimbo_r
+
 
 def _rep(l, zeta):
     ctx = QContext(q=0.7, tau=TwistConfig.default(l).tau)
@@ -121,3 +123,18 @@ def test_direct_transfer_matches_kron_monodromy(l, n):
               for i in range(d))
     got = direct_transfer(zeta, n, twist, g, ctx)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("s", [(1, 1), (1, 2), (2, 1, 1), (1, 2, 3),
+                               (1, 2, 1, 3)])
+@pytest.mark.parametrize("q", [0.7, 0.35])
+def test_intertwiner_is_the_closed_form_r_matrix(s, q):
+    """The numeric nullspace solution equals Jimbo's R-matrix entry for
+    entry, for non-principal gradings and complex spectral parameters."""
+    g = GradingConfig(s)
+    ctx = QContext(q=q)
+    z1, z2 = 0.6 + 0.3j, 1.1 - 0.2j
+    got = solve_intertwiner(FundRep(z1, g, ctx), FundRep(z2, g, ctx))
+    ref = jimbo_r(z1, z2, g, q)
+    err = np.max(np.abs(got.matrix.reshape(ref.shape) - ref))
+    assert err <= 1e-13 * np.max(np.abs(ref)), err

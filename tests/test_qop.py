@@ -4,15 +4,17 @@ import cmath
 import numpy as np
 import pytest
 
+from baxq import qop
 from baxq.borelhoms import TwistConfig, module_signs, twist_diagonal
 from baxq.lop import GradingConfig, build_L_a
 from baxq.oscalg import trace_exact, trace_powers
 from baxq.qnum import QContext
 from baxq.qop import (QFamily, SectorLabel, basis_states, dressing_exponent,
-                      horner, load_matrix, monodromy_entry, op_det, q_prime,
+                      horner, load_matrix, op_det, q_prime,
                       save_matrix, sector_of, sectors, state_index)
 
 from conftest import make_setup
+from oracles import dense_eigenvalue, monodromy_entry
 
 
 def test_state_indexing_row_major():
@@ -135,6 +137,56 @@ def test_q_op_matches_dense_assembly(l, n, s):
             assert np.array_equal(fam.q_op(a, zeta), ref), (a, zeta)
 
 
+@pytest.mark.parametrize("l,n,s", [(1, 3, (1, 2)), (2, 2, (1, 1, 1)),
+                                   (3, 2, (1, 1, 1, 1))])
+def test_eigenline_values_are_projected_dense_operators(l, n, s):
+    """q_lines and generalized_q list, sector by sector and then by basis
+    column, the eigenvalues of the dense operators in each sector's basis;
+    c_l is constant on a sector."""
+    twist, grading = TwistConfig.default(l), GradingConfig(s)
+    fam = QFamily(n, twist, grading, QContext(q=0.7, tau=twist.tau))
+    tuples = [(a,) for a in range(1, l + 2)] + [(1, 2), (2, 1)]
+    for zeta in (0.55, 0.6 + 0.3j):
+        got = {at: fam.generalized_q(at, zeta) for at in tuples}
+        assert np.array_equal(got[(1,)], fam.q_lines(1, zeta))
+        line = 0
+        for label, idxs in fam.sectors.items():
+            for col in range(len(idxs)):
+                for at in tuples:
+                    ref = dense_eigenvalue(fam, at, label, col, zeta)
+                    err = abs(got[at][line] - ref)
+                    assert err <= 1e-11 * max(abs(ref), 1.0), \
+                        (label.k, col, at, zeta, err)
+                line += 1
+    c = fam.c_l()
+    start = 0
+    for idxs in fam.sectors.values():
+        assert np.all(c[start:start + len(idxs)] == c[start])
+        start += len(idxs)
+
+
+def test_basis_is_built_once_and_only_on_request(monkeypatch):
+    """q_op needs no basis; each sector's basis, or its failure, is formed
+    by one eigendecomposition however often it is asked for."""
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda m: calls.append(m.shape) or eig(m))
+    fam = make_setup(2, 2)[3]
+    fam.q_op(1, 0.5)
+    assert calls == [] and fam.health == {}
+    for _ in range(2):
+        fam.generalized_q((1, 2), 0.5)
+    assert len(calls) == len(fam.sectors) == len(fam.health)
+    monkeypatch.setattr(qop, "DIAG_TOL", -1.0)
+    fam, label = make_setup(1, 2)[3], SectorLabel((1, 1))
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"sector \(1, 1\)"):
+            fam.basis(label)
+    assert len(calls) == 1 and list(fam.health) == [label]
+
+
 def test_q_operators_commute():
     twist, grading, ctx, fam = make_setup(1, 2)
     a = fam.q_op(1, 0.41)
@@ -157,10 +209,10 @@ def test_dressing_exponent_telescopes():
 def test_generalized_q_reduces_to_single():
     twist, grading, ctx, fam = make_setup(1, 1)
     single = fam.generalized_q((1,), 0.53)
-    assert np.max(np.abs(single - fam.q_blocks(1, 0.53))) == 0.0
+    assert np.max(np.abs(single - fam.q_lines(1, 0.53))) == 0.0
     empty = fam.generalized_q((), 0.53)
-    assert np.max(np.abs(empty - fam.identity())) == 0.0
-    assert np.max(np.abs(fam.dense(empty) - np.eye(fam.dim))) == 0.0
+    assert np.array_equal(empty, fam.identity())
+    assert np.array_equal(empty, np.ones(fam.dim))
 
 
 def test_op_det_matches_scalar_determinant():
@@ -168,7 +220,7 @@ def test_op_det_matches_scalar_determinant():
     vals = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     blocks = [[vals[i, j] * np.eye(2, dtype=complex) for j in range(3)]
               for i in range(3)]
-    det = op_det(blocks)
+    det = op_det(blocks, np.matmul)
     assert det[0, 0] == pytest.approx(np.linalg.det(vals))
     assert det[0, 1] == 0.0
     # With np.convolve as the product, entries are polynomials (ascending
