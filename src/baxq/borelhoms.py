@@ -10,7 +10,6 @@ operators.  The module carrying realization a is the tensor product of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .oscalg import OscExpr
@@ -26,10 +25,6 @@ class TwistConfig:
     @property
     def l(self) -> int:
         return len(self.tau) - 1
-
-    def t(self, i: int) -> float:
-        """t_i = tau_i - tau_{i+1} (1-based i in 1..l)."""
-        return self.tau[i - 1] - self.tau[i]
 
     @classmethod
     def default(cls, l: int) -> "TwistConfig":
@@ -68,56 +63,29 @@ def o_image(kind: str, i: int, nu, a: int, l: int, ctx: QContext) -> OscExpr:
     """Image of generator i under realization a.
 
     kind is "e" (raising generator e_i, nu ignored) or "h" (Cartan
-    exponential q^{nu h_i}); i runs over 0..l, a over 1..l+1.  Realization
-    a sends generator i to the base image of generator (i - a) mod (l+1).
+    exponential q^{nu h_i}, nu a plain number); i runs over 0..l, a over
+    1..l+1.  Realization a sends generator i to the base image of generator
+    (i - a) mod (l+1).
     """
     j = (i - a) % (l + 1)
     if kind == "e":
         return _base_e_image(j, l, ctx)
     if kind == "h":
-        nu = Fraction(nu)
-        pattern = _h_pattern(j, l)
-        return OscExpr.q_exponent(l, [nu * c for c in pattern])
+        return OscExpr.q_exponent(l, [nu * c for c in _h_pattern(j, l)])
     raise ValueError("kind must be 'e' or 'h'")
 
 
-def twist_coefficients(l: int) -> list:
-    """Coefficients theta_j of the twist exponent sum_j theta_j h_j.
+def twist_diagonal(a: int, twist: TwistConfig) -> list:
+    """Image under realization a of the twist exponential, as mode shifts.
 
-    The twist element pairs the parameters t_i = tau_i - tau_{i+1} with the
-    Cartan generators through the inverse Cartan matrix,
-    theta_j = sum_i c_ij t_i = sum_{m<=j} tau_m - (j/(l+1)) sum_m tau_m,
-    which is exactly what makes the shift identities behind the functional
-    relations close.  Each theta_j is returned as its exact coefficient list
-    over tau_1..tau_{l+1}.
+    The twist pairs t_i = tau_i - tau_{i+1} with the Cartan generators
+    through the inverse Cartan matrix.  Its image is prod_k q^{E_k N_k} with
+    E_k = tau_a - tau_{a+k}, colours taken mod l+1; the returned list holds
+    the E_k, for `trace_powers` to add to each mode.
     """
-    return [
-        [Fraction(l + 1 - j, l + 1) if m <= j else Fraction(-j, l + 1)
-         for m in range(1, l + 2)]
-        for j in range(1, l + 1)
-    ]
-
-
-def twist_diagonal(a: int, twist: TwistConfig, ctx: QContext) -> list:
-    """Image under realization a of the twist exponential, as shifts.
-
-    The image is prod_k q^{E_k N_k}; the returned list holds the numeric
-    exponents E_k = sum_j theta_j * pattern_j[k] at the twist's tau, for
-    `trace_exact` to add to each mode.  The coefficients over tau are summed
-    exactly before the single numeric evaluation.
-    """
-    l = twist.l
-    theta = twist_coefficients(l)
-    coeffs = [[Fraction(0)] * (l + 1) for _ in range(l)]
-    for i in range(1, l + 1):
-        j = (i - a) % (l + 1)
-        pattern = _h_pattern(j, l)
-        for k in range(l):
-            if pattern[k]:
-                coeffs[k] = [c + t * pattern[k]
-                             for c, t in zip(coeffs[k], theta[i - 1])]
-    return [sum(float(c) * twist.tau[m] for m, c in enumerate(row) if c)
-            for row in coeffs]
+    tau = twist.tau
+    return [tau[a - 1] - tau[(a - 1 + k) % len(tau)]
+            for k in range(1, len(tau))]
 
 
 def module_signs(a: int, l: int) -> tuple:

@@ -155,8 +155,11 @@ class RunConfig:
 def _report_entry(rep: funcrel.RelationReport) -> dict:
     bound = TOLERANCES.get(rep.name, TOLERANCES["relations"])
     passed = rep.residual is not None and rep.residual < bound
-    return {"name": rep.name, "residual": rep.residual, "tolerance": bound,
-            "passed": passed, "details": rep.details}
+    entry = {"name": rep.name, "residual": rep.residual, "tolerance": bound,
+             "passed": passed, "details": rep.details}
+    if rep.reason is not None:
+        entry["reason"] = rep.reason
+    return entry
 
 
 # Relation entries read off the joint eigenbasis, in report order.
@@ -185,8 +188,9 @@ def _relations_suite(fam: QFamily, rng: random.Random) -> List[dict]:
         reps.append(funcrel.check_direct_vs_q(tq, z0))
         out = [_report_entry(rep) for rep in reps]
     except ArithmeticError as exc:
-        out = [dict(_report_entry(funcrel.RelationReport(name, None)),
-                    reason=str(exc)) for name in Q_SIDE]
+        out = [_report_entry(funcrel.RelationReport(name, None,
+                                                    reason=str(exc)))
+               for name in Q_SIDE]
     zs = (0.5, 0.9, 1.3)
     ybe = yang_baxter_residual(fam.grading, fam.ctx, *zs)
     out.append(_report_entry(funcrel.RelationReport(

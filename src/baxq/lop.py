@@ -4,9 +4,10 @@ The basic Lax matrix acts on (l-mode oscillator algebra) x C^{l+1}; it is
 stored as an (l+1) x (l+1) array of symbolic oscillator expressions.  Built
 without a spectral parameter, every term carries its integer power of zeta
 beside its oscillator monomial, so one matrix serves every zeta; built at a
-number zeta, the powers are substituted.  A rotated family indexed by
-a = 1..l+1 is generated by conjugating with the cyclic shift matrix while
-simultaneously cycling the grading exponents.
+number zeta, the powers are substituted.  The rotated family indexed by
+a = 1..l+1 conjugates with powers of the cyclic shift matrix while cycling
+the grading exponents; `build_L_a` forms it as an index map on the basic
+matrix.
 
 `build_L_factored_oracle` rebuilds the same matrix as an ordered product of
 elementary root factors times a diagonal dressing and a Cartan-like diagonal;
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from .oscalg import OscExpr, multiply
 from .qnum import QContext
@@ -158,52 +157,28 @@ def build_L(zeta: Optional[complex], grading: GradingConfig,
     return LOperator(l, zeta, grading, m)
 
 
-_O_CACHE: dict = {}
-
-
-def _shift_matrices(l: int, ctx: QContext):
-    """Cyclic shift O (v_j -> v_{j+1}, v_{l+1} -> q^{-1} v_1) and inverse."""
-    key = (l, ctx.q)
-    if key not in _O_CACHE:
-        o = np.zeros((l + 1, l + 1), dtype=complex)
-        oinv = np.zeros((l + 1, l + 1), dtype=complex)
-        o[0, l] = 1.0 / ctx.q
-        oinv[l, 0] = ctx.q
-        for i in range(l):
-            o[i + 1, i] = 1.0
-            oinv[i, i + 1] = 1.0
-        _O_CACHE[key] = (o, oinv)
-    return _O_CACHE[key]
-
-
 def build_L_a(a: int, zeta: Optional[complex], grading: GradingConfig,
               ctx: QContext) -> LOperator:
     """Rotated Lax matrix, a = 1..l+1 (a = l+1 is the basic one); zeta None
-    keeps the zeta-powers symbolic."""
+    keeps the zeta-powers symbolic.
+
+    The basic matrix at the grading rotated m = a mod (l+1) times,
+    conjugated m times with the cyclic shift (v_j -> v_{j+1},
+    v_{l+1} -> q^{-1} v_1): entry (i, j), 0-based, is q^{[j<m] - [i<m]}
+    times its entry ((i - m), (j - m)) mod (l+1).
+    """
     l = grading.l
     if not 1 <= a <= l + 1:
         raise ValueError("a out of range")
-    if a == l + 1:
-        return build_L(zeta, grading, ctx)
-    inner = build_L_a(a - 1 if a >= 2 else l + 1, zeta, grading.rotate(), ctx)
-    o, oinv = _shift_matrices(l, ctx)
-    tmp = _scalar_mat_apply(o, inner.entries, left=True)
-    ent = _scalar_mat_apply(oinv, tmp, left=False)
+    m = a % (l + 1)
+    rotated = grading
+    for _ in range(m):
+        rotated = rotated.rotate()
+    base = build_L(zeta, rotated, ctx).entries
+    ent = [[base[(i - m) % (l + 1)][(j - m) % (l + 1)].scale(
+        ctx.qpow((j < m) - (i < m))) for j in range(l + 1)]
+        for i in range(l + 1)]
     return LOperator(l, zeta, grading, ent)
-
-
-def _scalar_mat_apply(s: np.ndarray, m: list, left: bool) -> list:
-    n = len(m)
-    modes = m[0][0].modes
-    out = [[OscExpr.zero(modes) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = s[i, k] if left else s[k, j]
-                src = m[k][j] if left else m[i][k]
-                if c != 0 and src.terms:
-                    out[i][j] = out[i][j] + src.scale(c)
-    return out
 
 
 def build_L_factored_oracle(zeta: complex, grading: GradingConfig,

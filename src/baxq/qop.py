@@ -84,19 +84,11 @@ def dressing_exponent(a: int, label: SectorLabel, twist: TwistConfig,
                       grading: GradingConfig) -> float:
     """D_{a,k}: the power of zeta multiplying sector k of operator a.
 
-    Built from h'_j = h_j - t_j, so the twist enters with a minus sign.
+    D_{a,k} = (s/2) (mean(y) - y_a) with y_i = k_i - tau_i: built from
+    h'_j = h_j - t_j, so the twist enters with a minus sign.
     """
-    l = grading.l
-    k = label.k
-    s = grading.total
-    acc = 0.0
-    for j in range(1, l + 1):
-        term = k[j - 1] - k[j] - twist.t(j)
-        if j <= a - 1:
-            acc += j * term
-        else:
-            acc -= (l - j + 1) * term
-    return s * acc / (2 * (l + 1))
+    y = [k - t for k, t in zip(label.k, twist.tau)]
+    return grading.total * (sum(y) / len(y) - y[a - 1]) / 2
 
 
 def _walk(site: int, expr, row: int, col: int, weight: int, excess: list,
@@ -161,7 +153,7 @@ def q_prime(a: int, n: int, twist: TwistConfig, grading: GradingConfig,
             block_of[idx], pos[idx] = b, p
     _walk(n - 1, None, 0, 0, 1, [0] * (l + 1),
           (lop.entries, blocks, block_of, pos, module_signs(a, l),
-           twist_diagonal(a, twist, ctx), grading.total, ctx))
+           twist_diagonal(a, twist), grading.total, ctx))
     return dict(zip(secs, blocks))
 
 

@@ -1,12 +1,14 @@
 """Oscillator realizations of the Borel half: defining relations, twist."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from baxq.borelhoms import (TwistConfig, module_signs, o_image,
-                            twist_coefficients, twist_diagonal)
+from baxq.borelhoms import TwistConfig, module_signs, o_image, twist_diagonal
 from baxq.oscalg import multiply
 from baxq.qnum import QContext
+
+from oracles import summed_twist_diagonal, twist_coefficients
 
 
 def _ctx(l):
@@ -56,20 +58,32 @@ def test_twist_coefficients_invert_cartan():
             assert acc == expect
 
 
-def test_twist_diagonal_is_twist_linear():
-    l = 2
-    ctx = _ctx(l)
-    tau1, tau2 = TwistConfig.default(l).tau, (0.3, -1.7, 0.9)
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_twist_diagonal_is_twist_linear(l):
+    tau1 = TwistConfig.default(l).tau
+    tau2 = (0.3, -1.7, 0.9, 2.2, -0.4)[:l + 1]
     summed = TwistConfig(tuple(x + y for x, y in zip(tau1, tau2)))
     for a in range(1, l + 2):
-        d1 = twist_diagonal(a, TwistConfig(tau1), ctx)
-        d2 = twist_diagonal(a, TwistConfig(tau2), ctx)
+        d1 = twist_diagonal(a, TwistConfig(tau1))
+        d2 = twist_diagonal(a, TwistConfig(tau2))
         assert len(d1) == l
-        assert twist_diagonal(a, summed, ctx) == pytest.approx(
+        assert twist_diagonal(a, summed) == pytest.approx(
             [x + y for x, y in zip(d1, d2)], abs=1e-14)
         # no constant part: the zero twist gives no shift
-        assert twist_diagonal(a, TwistConfig((0.0,) * (l + 1)), ctx) \
-            == [0.0] * l
+        assert twist_diagonal(a, TwistConfig((0.0,) * (l + 1))) == [0.0] * l
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
+def test_twist_diagonal_is_the_summed_inverse_cartan_pairing(l):
+    """The closed form tau_a - tau_{a+k} equals, bit for bit, the exact
+    Fraction sum of theta_j over the realization's h-patterns."""
+    rng = random.Random(100 + l)
+    twists = [TwistConfig.default(l)] + [
+        TwistConfig(tuple(rng.uniform(-5, 5) for _ in range(l + 1)))
+        for _ in range(20)]
+    for twist in twists:
+        for a in range(1, l + 2):
+            assert twist_diagonal(a, twist) == summed_twist_diagonal(a, twist)
 
 
 def test_module_signs_partition():
@@ -81,5 +95,5 @@ def test_module_signs_partition():
 def test_default_twist_is_generic():
     tw = TwistConfig.default(3)
     assert tw.l == 3
-    diffs = {round(tw.t(i), 9) for i in range(1, 4)}
+    diffs = {round(tw.tau[i] - tw.tau[i + 1], 9) for i in range(3)}
     assert all(abs(d - round(d)) > 1e-3 for d in diffs)

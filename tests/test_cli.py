@@ -195,6 +195,33 @@ def test_relations_basis_failure_becomes_report_entries(monkeypatch, tmp_path,
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("config", [RunConfig(l=1, n=2, q=0.3),
+                                    RunConfig(l=2, n=2, s=(0, 0, 1))])
+def test_divergent_jacobi_trudi_series_fails_only_that_entry(config):
+    """A valid q or grading that takes t_hat's normalization series past
+    its radius fails the Jacobi-Trudi entry alone, naming the series;
+    every other relation and every Bethe entry still passes."""
+    report = run_suite(config)
+    assert not report["passed"]
+    json.dumps(report, allow_nan=False)
+    (jt,) = [r for r in report["relations"] if r["name"] == "jacobi-trudi"]
+    assert jt["residual"] is None and not jt["passed"]
+    assert "f_series" in jt["reason"] and "diverges" in jt["reason"]
+    others = [r for r in report["relations"] if r is not jt]
+    assert len(others) == 11 and all(r["passed"] for r in others)
+    assert not report["bethe"]["failures"]
+    assert all(r["passed"] for r in report["bethe"]["residuals"])
+
+
+def test_divergent_series_exits_with_status_1(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["verify", "--l", "1", "--n", "2", "--q", "0.3",
+                 "--out", out]) == 1
+    with open(out + "/report.json") as f:
+        assert not json.load(f)["passed"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_full_run_builds_each_sector_basis_once(monkeypatch):
     """The relations and Bethe suites read one joint eigenbasis per sector:
     one eigendecomposition each in a full run."""

@@ -8,6 +8,8 @@ from baxq.lop import (GradingConfig, build_L, build_L_a,
                       build_L_factored_oracle, max_entry_difference)
 from baxq.qnum import QContext
 
+from oracles import conjugated_L_a
+
 
 def _ctx(l):
     return QContext(q=0.7, tau=TwistConfig.default(l).tau)
@@ -25,9 +27,10 @@ def test_closed_form_matches_factored_oracle(l):
         assert max_entry_difference(a, b, ctx) < 1e-12
 
 
-def test_rotated_family_closes():
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_rotated_family_closes(l):
     """a = l+1 gives back the basic matrix; all a are well-defined."""
-    l, zeta = 2, 0.4 + 0.1j
+    zeta = 0.4 + 0.1j
     grading = GradingConfig.principal(l)
     ctx = _ctx(l)
     basic = build_L(zeta, grading, ctx)
@@ -36,6 +39,27 @@ def test_rotated_family_closes():
     for a in range(1, l + 1):
         rot = build_L_a(a, zeta, grading, ctx)
         assert max_entry_difference(basic, rot, ctx) > 0.1
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_rotation_index_map_matches_conjugation(l):
+    """The index map gives the same terms, in the same order, as conjugating
+    a times with the cyclic shift, and the same coefficients up to the
+    rounding of the q and 1/q factors the conjugation multiplies."""
+    ctx = _ctx(l)
+    for s in [(1,) * (l + 1), tuple(range(1, l + 2)), (2,) + (0,) * l]:
+        grading = GradingConfig(s)
+        for zeta in (None, 0.6 + 0.3j):
+            for a in range(1, l + 2):
+                got = build_L_a(a, zeta, grading, ctx)
+                ref = conjugated_L_a(a, zeta, grading, ctx)
+                assert got.grading == ref.grading
+                for row_got, row_ref in zip(got.entries, ref.entries):
+                    for x, y in zip(row_got, row_ref):
+                        assert [k for k, _ in x.terms] == \
+                            [k for k, _ in y.terms], (s, zeta, a)
+                        for (_, u), (_, v) in zip(x.terms, y.terms):
+                            assert abs(u - v) <= 1e-15 * abs(v), (s, zeta, a)
 
 
 def test_rotation_out_of_range_raises():

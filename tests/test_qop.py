@@ -14,7 +14,8 @@ from baxq.qop import (QFamily, SectorLabel, basis_states, dressing_exponent,
                       save_matrix, sector_of, sectors, state_index)
 
 from conftest import make_setup
-from oracles import dense_eigenvalue, monodromy_entry
+from oracles import (dense_eigenvalue, looped_dressing_exponent,
+                     monodromy_entry)
 
 
 def test_state_indexing_row_major():
@@ -55,7 +56,7 @@ def test_q_prime_matches_straight_line_monodromy(l, n):
     for a in range(1, l + 2):
         lop = build_L_a(a, None, grading, ctx)
         signs = module_signs(a, l)
-        shifts = twist_diagonal(a, twist, ctx)
+        shifts = twist_diagonal(a, twist)
         got = q_prime(a, n, twist, grading, ctx)
         for label, members in sectors(l, n).items():
             ref = np.zeros((n + 1, len(members), len(members)), dtype=complex)
@@ -88,7 +89,7 @@ def test_horner_matches_numeric_trace(l, n, s):
         for label, idxs in secs.items():
             assert coeffs[label].shape == (n + 1, len(idxs), len(idxs))
         signs = module_signs(a, l)
-        shifts = twist_diagonal(a, twist, ctx)
+        shifts = twist_diagonal(a, twist)
         for zeta in (0.81, 0.6 + 0.3j):
             lop = build_L_a(a, zeta, grading, ctx)
             ref = np.array([[trace_exact(monodromy_entry(lop, row, col, ctx),
@@ -194,16 +195,33 @@ def test_q_operators_commute():
     assert np.max(np.abs(a @ b - b @ a)) < 1e-10
 
 
-def test_dressing_exponent_telescopes():
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_dressing_exponent_telescopes(l):
     """Summing D over a = 1..l+1 at fixed sector gives zero for every
     grading: the product of all dressings is zeta-power free."""
-    twist = TwistConfig.default(2)
-    for s in ((1, 1, 1), (2, 1, 1), (0, 3, 1)):
+    twist = TwistConfig.default(l)
+    for s in ((1,) * (l + 1), (2,) + (1,) * l, (0, 3) + (1,) * (l - 1)):
         grading = GradingConfig(s)
-        for label in list(sectors(2, 1)) + list(sectors(2, 2)):
+        for label in list(sectors(l, 1)) + list(sectors(l, 2)):
             total = sum(dressing_exponent(a, label, twist, grading)
-                        for a in range(1, 4))
+                        for a in range(1, l + 2))
             assert total == pytest.approx(0.0, abs=1e-12), (s, label.k)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_dressing_exponent_matches_root_sum(l):
+    """(s/2)(mean(y) - y_a), y_i = k_i - tau_i, is the sum over the simple
+    roots of h'_j = h_j - t_j, gradings with zero entries included."""
+    twist = TwistConfig.default(l)
+    for s in ((1,) * (l + 1), tuple(range(1, l + 2)), (0,) * l + (2,),
+              (3, 0) + (1,) * (l - 1)):
+        grading = GradingConfig(s)
+        for n in (1, 2, 3):
+            for label in sectors(l, n):
+                for a in range(1, l + 2):
+                    got = dressing_exponent(a, label, twist, grading)
+                    ref = looped_dressing_exponent(a, label, twist, grading)
+                    assert abs(got - ref) <= 1e-13, (s, label.k, a)
 
 
 def test_generalized_q_reduces_to_single():
