@@ -19,11 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fundrep import direct_transfer
-from .qnum import f_series
+from .qnum import f_series, relative
 from .qop import QFamily, op_det
-from .rootdata import RootSystem
-
-_FLOOR = 1e-300
+from .rootdata import rho
 
 
 @dataclass
@@ -44,7 +42,7 @@ def _pair(z: complex) -> list:
 
 def _rel_residual(lhs: np.ndarray, *scale_refs: np.ndarray) -> float:
     scale = max((float(np.max(np.abs(m))) for m in scale_refs), default=0.0)
-    return float(np.max(np.abs(lhs))) / max(scale, _FLOOR)
+    return relative(float(np.max(np.abs(lhs))), scale)
 
 
 def _alternating_residual(terms) -> float:
@@ -53,7 +51,7 @@ def _alternating_residual(terms) -> float:
     for b, term in enumerate(terms):
         acc = acc - term if b % 2 else acc + term
         biggest = max(biggest, float(np.max(np.abs(term))))
-    return float(np.max(np.abs(acc))) / max(biggest, _FLOOR)
+    return relative(float(np.max(np.abs(acc))), biggest)
 
 
 class TransferFromQ:
@@ -61,7 +59,6 @@ class TransferFromQ:
 
     def __init__(self, fam: QFamily):
         self.fam = fam
-        self.roots = RootSystem(fam.l)
         self._c_inv = 1.0 / fam.c_l()
 
     def s_op(self, mu: Sequence, zeta: complex) -> np.ndarray:
@@ -74,8 +71,7 @@ class TransferFromQ:
 
     def t_op(self, mu: Sequence, zeta: complex) -> np.ndarray:
         """T^mu = S^{mu + rho}."""
-        rho = self.roots.rho()
-        return self.s_op([m + r for m, r in zip(mu, rho)], zeta)
+        return self.s_op([m + r for m, r in zip(mu, rho(self.fam.l))], zeta)
 
     def t_scalar(self, nu, zeta: complex) -> np.ndarray:
         """T^{nu (1,..,1)} at chain level: the scalar (1 - q^{2 nu} zeta^s)^n.

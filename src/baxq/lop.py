@@ -1,4 +1,4 @@
-"""Oscillator-valued Lax matrices and their factored construction.
+"""Oscillator-valued Lax matrices: the basic matrix and its rotated family.
 
 The basic Lax matrix acts on (l-mode oscillator algebra) x C^{l+1}; it is
 stored as an (l+1) x (l+1) array of symbolic oscillator expressions.  Built
@@ -8,17 +8,13 @@ number zeta, the powers are substituted.  The rotated family indexed by
 a = 1..l+1 conjugates with powers of the cyclic shift matrix while cycling
 the grading exponents; `build_L_a` forms it as an index map on the basic
 matrix.
-
-`build_L_factored_oracle` rebuilds the same matrix as an ordered product of
-elementary root factors times a diagonal dressing and a Cartan-like diagonal;
-it serves as an independent cross-check of `build_L`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .oscalg import OscExpr, multiply
+from .oscalg import OscExpr
 from .qnum import QContext
 
 
@@ -71,36 +67,10 @@ def _zero_matrix(l: int) -> list:
     return [[OscExpr.zero(l) for _ in range(l + 1)] for _ in range(l + 1)]
 
 
-def _identity_matrix(l: int) -> list:
-    m = _zero_matrix(l)
-    for i in range(l + 1):
-        m[i][i] = OscExpr.one(l)
-    return m
-
-
-def mat_mul(a: list, b: list, ctx: QContext) -> list:
-    n = len(a)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = OscExpr.zero(a[0][0].modes)
-            for k in range(n):
-                if a[i][k].terms and b[k][j].terms:
-                    acc = acc + multiply(a[i][k], b[k][j], ctx)
-            out[i][j] = acc
-    return out
-
-
-def _n_range_exps(l: int, lo: int, hi: int) -> list:
-    """Exponent vector of N_{lo,hi} = N_lo + ... + N_{hi-1} (1-based)."""
-    return [1 if lo <= k < hi else 0 for k in range(1, l + 1)]
-
-
 def build_L(zeta: Optional[complex], grading: GradingConfig,
             ctx: QContext) -> LOperator:
     """The basic Lax matrix in closed form; zeta None keeps the powers."""
     l = grading.l
-    q = ctx.q
     kappa = ctx.kappa
     m = _zero_matrix(l)
     # Strictly lower block: kappa b_j bdag_i q^{N_j + N_{ji} - N_i - j + i - 2}
@@ -179,86 +149,3 @@ def build_L_a(a: int, zeta: Optional[complex], grading: GradingConfig,
         ctx.qpow((j < m) - (i < m))) for j in range(l + 1)]
         for i in range(l + 1)]
     return LOperator(l, zeta, grading, ent)
-
-
-def build_L_factored_oracle(zeta: complex, grading: GradingConfig,
-                            ctx: QContext) -> LOperator:
-    """Independent reconstruction as an ordered product of root factors.
-
-    Factors for the finite positive roots are multiplied left-to-right in
-    colexicographic root order, followed by a diagonal middle factor, the
-    (mutually commuting, collapsible) factors for the first affine shell,
-    and the Cartan-like diagonal.
-    """
-    l = grading.l
-    kappa = ctx.kappa
-    factors: List[list] = []
-    # Finite-root factors, colex order: (j ascending, then i ascending).
-    for j in range(2, l + 2):
-        for i in range(1, j):
-            f = _identity_matrix(l)
-            if j <= l:
-                exps = _n_range_exps(l, i, j)
-                exps[j - 1] -= 1
-                coeff = (kappa * zeta ** grading.partial(i, j)
-                         * ctx.qpow(j - i - 2))
-                f[j - 1][i - 1] = OscExpr.monomial(
-                    l,
-                    {i: (0, 1, exps[i - 1]),
-                     j: (1, 0, exps[j - 1]),
-                     **{k: (0, 0, exps[k - 1])
-                        for k in range(i + 1, j)}},
-                    coeff,
-                )
-            else:
-                exps = _n_range_exps(l, i, l + 1)
-                coeff = zeta ** grading.partial(i, l + 1) * ctx.qpow(l - i)
-                f[l][i - 1] = OscExpr.monomial(
-                    l,
-                    {k: ((0, 1, exps[k - 1]) if k == i
-                         else (0, 0, exps[k - 1]))
-                     for k in range(i, l + 1)},
-                    coeff,
-                )
-            factors.append(f)
-    # Middle diagonal factor (normalized by the overall scalar series).
-    mid = _identity_matrix(l)
-    mid[l][l] = OscExpr.one(l).scale(1.0 - ctx.qpow(-l) * zeta ** grading.total)
-    factors.append(mid)
-    # First-shell factors: all live in the last column, so they commute and
-    # their ordered product equals identity plus the sum of the tails.
-    shell = _identity_matrix(l)
-    for i in range(1, l + 1):
-        exps = _n_range_exps(l, i + 1, l + 1)
-        coeff = (-kappa
-                 * zeta ** (grading.total - grading.partial(i, l + 1))
-                 * ctx.qpow(-i))
-        shell[i - 1][l] = OscExpr.monomial(
-            l,
-            {k: ((1, 0, exps[k - 1]) if k == i
-                 else (0, 0, exps[k - 1]))
-             for k in range(i, l + 1)},
-            coeff,
-        )
-    factors.append(shell)
-    # Cartan-like diagonal.
-    cart = _zero_matrix(l)
-    for i in range(1, l + 1):
-        cart[i - 1][i - 1] = OscExpr.monomial(l, {i: (0, 0, 1)})
-    cart[l][l] = OscExpr.q_exponent(l, [-1] * l)
-    factors.append(cart)
-
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = mat_mul(prod, f, ctx)
-    return LOperator(l, zeta, grading, prod)
-
-
-def max_entry_difference(a: LOperator, b: LOperator, ctx: QContext) -> float:
-    """Largest coefficient of the normal-ordered entrywise difference."""
-    worst = 0.0
-    for i in range(a.l + 1):
-        for j in range(a.l + 1):
-            diff = a.entries[i][j] - b.entries[i][j]
-            worst = max(worst, diff.prune().max_abs())
-    return worst

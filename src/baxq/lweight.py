@@ -8,8 +8,7 @@ implements:
 
 * the l components of the oscillator-module weights (three cases: a = 1,
   a = 2..l, a = l+1) together with their omega-basis weight parts;
-* the highest-weight components of the evaluation modules and their
-  mirrored negative counterparts;
+* the highest-weight components of the evaluation modules;
 * the product identity expressing the evaluation highest weight as the
   product of shifted oscillator components;
 * the general conjectured components for arbitrary occupation labels, with
@@ -61,17 +60,6 @@ class FactorRatio:
             out *= 1.0 - ctx.qpow(e) * zs * u
         for e in self.den:
             out /= 1.0 - ctx.qpow(e) * zs * u
-        return out
-
-    def mirror_value(self, zeta: complex, u: complex, s: int,
-                     ctx: QContext) -> complex:
-        """Negative counterpart: factors (1 - q^{-e} zeta^{-s} u^{-1})."""
-        zs = zeta ** (-s)
-        out = 1.0 + 0j
-        for e in self.num:
-            out *= 1.0 - ctx.qpow(-e) * zs / u
-        for e in self.den:
-            out /= 1.0 - ctx.qpow(-e) * zs / u
         return out
 
 
@@ -150,12 +138,6 @@ def weight_shift(mu: Sequence[float], l: int) -> Tuple[float, ...]:
     return tuple(-2.0 - mu[i] + mu[i + 1] for i in range(l))
 
 
-def shifted_product_component(mu: Sequence[float], i: int,
-                              l: int) -> FactorRatio:
-    """Product over a of the a-th oscillator component at q^{2(mu_a+rho_a)/s} zeta."""
-    return _shifted_product(mu, i, l, _vacuum(l))
-
-
 def _vacuum(l: int) -> List[LWeight]:
     """Weight data of the l + 1 oscillator modules at zero occupation."""
     return [osc_psi(a, (0,) * l, l) for a in range(1, l + 2)]
@@ -163,6 +145,8 @@ def _vacuum(l: int) -> List[LWeight]:
 
 def _shifted_product(mu: Sequence[float], i: int, l: int,
                      vacuum: Sequence[LWeight]) -> FactorRatio:
+    """Product over a of the a-th oscillator component at
+    q^{2(mu_a+rho_a)/s} zeta."""
     out = FactorRatio.one()
     for a, psi in enumerate(vacuum, 1):
         comp = psi.plus_components[i - 1]
@@ -220,41 +204,3 @@ def conjectured_xi(mu: Sequence[float], n_mat: Sequence[Sequence[int]],
     for a in range(1, i + 1):
         den.append(2 * mu[a - 1] - 2 * nsum(a, i - a + 1) + i - 2 * a + 3)
     return FactorRatio(tuple(num), tuple(den))
-
-
-def xi_weight(n_mat: Sequence[Sequence[int]], l: int) -> Tuple[float, ...]:
-    """Weight part accompanying the general components."""
-
-    def nn(a: int, j: int) -> int:
-        if 1 <= a <= l + 1 and 1 <= j <= l:
-            return n_mat[a - 1][j - 1]
-        return 0
-
-    out = []
-    for i in range(1, l + 1):
-        val = -2.0 - 2 * nn(i, 1) - 2 * nn(i + 1, l)
-        for k in range(1, i):
-            val += (nn(k, i - k) - nn(k, i - k + 1)
-                    + nn(i, k - i + l + 1) - nn(i + 1, k - i + l))
-        for k in range(i + 2, l + 2):
-            val -= (nn(i, k - i) - nn(i + 1, k - i - 1)
-                    + nn(k, i - k + l + 1) - nn(k, i - k + l + 2))
-        out.append(val)
-    return tuple(out)
-
-
-def conjectured_lambda_plus(mu: Sequence[float],
-                            m_mat: Sequence[Sequence[int]], i: int,
-                            l: int) -> FactorRatio:
-    """Component i for the evaluation module at occupation labels m_{a,j}.
-
-    Obtained from the general oscillator-product components through the
-    substitution n_{a,j} = m_{a,a+j}; m_mat[a-1][j-1] holds m_{a,j} for
-    1 <= a < j <= l + 1 (other entries ignored).
-    """
-    n_mat = [
-        [m_mat[a - 1][a + j - 1] if a + j <= l + 1 else 0
-         for j in range(1, l + 1)]
-        for a in range(1, l + 2)
-    ]
-    return conjectured_xi(mu, n_mat, i, l)

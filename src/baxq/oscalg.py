@@ -16,15 +16,12 @@ exchange relation
 and graded traces over the level-raising/lowering Fock modules reduce to
 closed-form geometric sums, so no Fock-space truncation is involved.  A
 numeric per-mode exponent shift (the twist) may be applied at the trace, and
-the trace is taken separately for every zeta-power.  A truncated matrix
-realization of zeta-free expressions is provided as a numerical oracle.
+the trace is taken separately for every zeta-power.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .qnum import TOLERANCE, QContext
 
@@ -260,109 +257,3 @@ def trace_powers(x: OscExpr, signs: Sequence[int], ctx: QContext,
                 break
         out[p] = out.get(p, 0j) + val
     return out
-
-
-def trace_exact(x: OscExpr, signs: Sequence[int], ctx: QContext,
-                shifts: Optional[Sequence[float]] = None) -> complex:
-    """Graded trace of a zeta-free expression (see `trace_powers`)."""
-    traces = trace_powers(x, signs, ctx, shifts)
-    if any(traces):
-        raise ValueError("expression carries zeta-powers; use trace_powers")
-    return traces.get(0, 0j)
-
-
-# -- truncated Fock oracle -------------------------------------------------
-
-@dataclass(frozen=True)
-class TruncatedFock:
-    """Finite matrix realization of one oscillator mode.
-
-    kind=+1 realizes the raising-type module (bdag shifts the level up,
-    b w_n = [n]_q w_{n-1}); kind=-1 realizes the lowering-type one
-    (b shifts up, bdag w_n = -[n]_q w_{n-1}, q^{nu N} w_n = q^{-nu(n+1)} w_n).
-    """
-
-    cutoff: int
-    kind: int
-    ctx: QContext
-
-    def _qnums(self) -> np.ndarray:
-        q, k = self.ctx.q, self.ctx.kappa
-        n = np.arange(self.cutoff, dtype=complex)
-        return (q ** n - q ** (-n)) / k
-
-    def raising(self) -> np.ndarray:
-        m = np.zeros((self.cutoff, self.cutoff), dtype=complex)
-        idx = np.arange(self.cutoff - 1)
-        m[idx + 1, idx] = 1.0
-        return m
-
-    def lowering(self) -> np.ndarray:
-        m = np.zeros((self.cutoff, self.cutoff), dtype=complex)
-        idx = np.arange(1, self.cutoff)
-        m[idx - 1, idx] = self._qnums()[idx]
-        return m
-
-    def bdag(self) -> np.ndarray:
-        return self.raising() if self.kind > 0 else -self.lowering()
-
-    def b(self) -> np.ndarray:
-        return self.lowering() if self.kind > 0 else self.raising()
-
-    def q_n(self, nu: float) -> np.ndarray:
-        n = np.arange(self.cutoff)
-        if self.kind > 0:
-            diag = np.array([self.ctx.qpow(nu * int(k)) for k in n])
-        else:
-            diag = np.array([self.ctx.qpow(-nu * (int(k) + 1)) for k in n])
-        return np.diag(diag.astype(complex))
-
-    def mono_matrix(self, mode: ModeKey) -> np.ndarray:
-        a, b, e = mode
-        m = self.q_n(e)
-        bop = self.b()
-        for _ in range(b):
-            m = bop @ m
-        bd = self.bdag()
-        for _ in range(a):
-            m = bd @ m
-        return m
-
-
-def _zeta_free_terms(x: OscExpr) -> list:
-    """(MonoKey, coeff) pairs of an expression without zeta-powers."""
-    if any(p for (_, p), _ in x.terms):
-        raise ValueError("expression carries zeta-powers")
-    return [(key, c) for (key, _), c in x.terms]
-
-
-def to_truncated(x: OscExpr, focks: Sequence[TruncatedFock]) -> np.ndarray:
-    """Dense matrix of a zeta-free expression on the tensor product of
-    cutoffs."""
-    if len(focks) != x.modes:
-        raise ValueError("need one truncation per mode")
-    dim = int(np.prod([f.cutoff for f in focks]))
-    out = np.zeros((dim, dim), dtype=complex)
-    for key, c in _zeta_free_terms(x):
-        m = np.eye(1, dtype=complex)
-        for mode, f in zip(key, focks):
-            m = np.kron(m, f.mono_matrix(mode))
-        out += c * m
-    return out
-
-
-def truncated_trace(x: OscExpr, focks: Sequence[TruncatedFock]) -> complex:
-    """Trace of to_truncated(x) computed mode-by-mode (no Kronecker blowup).
-
-    The sign grading of the lowering-type module is baked into its matrix
-    realization, so a plain matrix trace is the graded trace.
-    """
-    total = 0.0 + 0j
-    for key, c in _zeta_free_terms(x):
-        val = c
-        for mode, f in zip(key, focks):
-            val *= np.trace(f.mono_matrix(mode))
-            if val == 0:
-                break
-        total += val
-    return total

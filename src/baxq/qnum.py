@@ -14,6 +14,12 @@ from dataclasses import dataclass
 TOLERANCE = 1e-12
 
 
+def relative(num, scale):
+    """num measured against scale; a zero scale counts as 1e-300, so a
+    zero num reads 0 rather than nan."""
+    return num / max(scale, 1e-300)
+
+
 @dataclass(frozen=True)
 class QContext:
     """Numeric context shared across a computation.

@@ -32,7 +32,7 @@ import numpy as np
 from .borelhoms import TwistConfig, module_signs, twist_diagonal
 from .lop import GradingConfig, build_L_a
 from .oscalg import multiply, trace_powers
-from .qnum import TOLERANCE, QContext
+from .qnum import TOLERANCE, QContext, relative
 
 # Each sector's basis diagonalizes sum_a GAMMA^(a-1) Q'_a(z_a), z_a = zeta^s
 # with zeta cycling through BASIS_ZETAS; DIAG_TOL bounds the relative
@@ -289,14 +289,14 @@ class QFamily:
             d = vinv @ c @ vecs
             diag = np.diagonal(d, axis1=1, axis2=2)
             off = np.abs(d - diag[:, :, None] * np.eye(len(vals))).max()
-            residues[a] = float(off / max(np.abs(d).max(), 1e-300))
+            residues[a] = float(relative(off, np.abs(d).max()))
             coeffs[a] = diag.T
         worst = max(residues, key=residues.get)
         gaps = np.abs(vals[:, None] - vals[None, :])[
             np.triu_indices(len(vals), 1)]
         self.health[label] = {
-            "min_separation": (float(gaps.min()
-                                     / max(np.max(np.abs(vals)), 1e-300))
+            "min_separation": (float(relative(gaps.min(),
+                                              np.max(np.abs(vals))))
                                if gaps.size else None),
             "offdiag_residue": residues[worst],
         }

@@ -97,11 +97,12 @@ def test_bethe_singular_root_becomes_failed_entry(monkeypatch):
     """A root exactly on a zero of a product-form factor (an exact 2-string,
     z_2 = q^2 z_1 bit for bit) gives failed entries with a reason, and the
     report stays valid JSON."""
-    from baxq.bethe import BethePolynomial, BetheSystem
+    from baxq import cli
+    from baxq.bethe import BethePolynomial
     from baxq.qop import SectorLabel
 
-    def strings(self, path, label, line):
-        q = self.fam.ctx.qpow(1)
+    def strings(fam, path, label, line):
+        q = fam.ctx.qpow(1)
         w = 0.4 + 0.1j
 
         def poly(roots):
@@ -109,7 +110,7 @@ def test_bethe_singular_root_becomes_failed_entry(monkeypatch):
                                    roots, 0.0)
         return [poly([w, q * q * w]), poly([0.9])]
 
-    monkeypatch.setattr(BetheSystem, "path_polynomials", strings)
+    monkeypatch.setattr(cli, "path_polynomials", strings)
     report = run_suite(RunConfig(l=2, n=1, suites=("bethe",)))
     assert not report["passed"]
     json.dumps(report, allow_nan=False)

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from baxq.borelhoms import TwistConfig
-from baxq.lop import (GradingConfig, build_L, build_L_a,
-                      build_L_factored_oracle, max_entry_difference)
+from baxq.lop import GradingConfig, build_L, build_L_a
 from baxq.qnum import QContext
 
-from oracles import conjugated_L_a
+from oracles import (build_L_factored_oracle, conjugated_L_a,
+                     max_entry_difference)
 
 
 def _ctx(l):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from baxq.qnum import QContext
-from baxq.oscalg import (OscExpr, TracePoleError, TruncatedFock, multiply,
-                         to_truncated, trace_exact, trace_powers,
-                         truncated_trace)
+from baxq.oscalg import OscExpr, TracePoleError, multiply, trace_powers
+
+from oracles import TruncatedFock, to_truncated, truncated_trace
 
 CTX = QContext(q=0.7, tau=(3.1, 1.9))
 
@@ -84,25 +84,25 @@ def test_multiplication_matches_truncated(a1, b1, a2, b2):
 
 def test_offdiagonal_trace_vanishes():
     x = OscExpr.monomial(1, {1: (2, 1, 5)})
-    assert trace_exact(x, [1], CTX) == 0.0
+    assert trace_powers(x, [1], CTX)[0] == 0.0
 
 
 def test_exact_trace_is_geometric_sum():
     """tr q^{nu N} = 1/(1 - q^nu) on the raising module, negated on the
     lowering one (where it continues sum q^{-nu(n+1)})."""
-    val = trace_exact(_qn(3), [1], CTX)
+    val = trace_powers(_qn(3), [1], CTX)[0]
     assert val == pytest.approx(1.0 / (1.0 - 0.7 ** 3))
-    assert trace_exact(_qn(3), [-1], CTX) == pytest.approx(-val)
+    assert trace_powers(_qn(3), [-1], CTX)[0] == pytest.approx(-val)
 
 
 def test_trace_pole_raises():
     with pytest.raises(TracePoleError):
-        trace_exact(_qn(0), [1], CTX)
+        trace_powers(_qn(0), [1], CTX)
 
 
 def test_trace_pole_raises_on_shifted_exponent():
     with pytest.raises(TracePoleError):
-        trace_exact(_qn(1), [1], CTX, shifts=[-1.0])
+        trace_powers(_qn(1), [1], CTX, shifts=[-1.0])
 
 
 def test_trace_shifts_act_as_q_exponent_factor():
@@ -114,18 +114,19 @@ def test_trace_shifts_act_as_q_exponent_factor():
             x = x + random_balanced_expr(rng)[0]
         shifts = [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
         for signs in ((1, 1), (-1, 1), (-1, -1)):
-            shifted = trace_exact(x, signs, CTX, shifts)
-            moved = trace_exact(
-                multiply(x, OscExpr.q_exponent(2, shifts), CTX), signs, CTX)
+            shifted = trace_powers(x, signs, CTX, shifts)[0]
+            moved = trace_powers(
+                multiply(x, OscExpr.q_exponent(2, shifts), CTX), signs,
+                CTX)[0]
             assert abs(shifted - moved) <= 1e-14 * max(abs(moved), 1e-300)
 
 
 def test_trace_rejects_shift_length_mismatch():
     x = OscExpr.q_exponent(2, [1, 2])
     with pytest.raises(ValueError):
-        trace_exact(x, (1, 1), CTX, shifts=[0.5])
+        trace_powers(x, (1, 1), CTX, shifts=[0.5])
     with pytest.raises(ValueError):
-        trace_exact(x, (1, 1), CTX, shifts=[0.5, 0.5, 0.5])
+        trace_powers(x, (1, 1), CTX, shifts=[0.5, 0.5, 0.5])
 
 
 def test_zeta_powers_add_and_trace_separately():
@@ -136,13 +137,11 @@ def test_zeta_powers_add_and_trace_separately():
     prod = multiply(x, y, CTX)
     traces = trace_powers(prod, [1], CTX)
     assert sorted(traces) == [2, 3]
-    assert traces[2] == pytest.approx(-2.0 * trace_exact(_qn(3), [1], CTX))
-    assert traces[3] == pytest.approx(-1.0 * trace_exact(_qn(4), [1], CTX))
+    assert traces[2] == pytest.approx(-2.0 * trace_powers(_qn(3), [1], CTX)[0])
+    assert traces[3] == pytest.approx(-1.0 * trace_powers(_qn(4), [1], CTX)[0])
     zeta = 0.6 - 0.2j
     at_zeta = sum(v * zeta ** p for p, v in traces.items())
-    assert trace_exact(prod.at(zeta), [1], CTX) == pytest.approx(at_zeta)
-    with pytest.raises(ValueError):
-        trace_exact(prod, [1], CTX)
+    assert trace_powers(prod.at(zeta), [1], CTX)[0] == pytest.approx(at_zeta)
     with pytest.raises(ValueError):
         truncated_trace(prod, [TruncatedFock(10, 1, CTX)])
 
@@ -167,7 +166,7 @@ def test_exact_vs_truncated_traces_random():
     rng = random.Random(11)
     for _ in range(25):
         x, sign = random_balanced_expr(rng)
-        exact = trace_exact(x, (sign, sign), CTX)
+        exact = trace_powers(x, (sign, sign), CTX)[0]
         approx = truncated_trace(x, [TruncatedFock(60, sign, CTX)] * 2)
         assert abs(exact - approx) < 1e-8 * max(1.0, abs(exact))
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from baxq.qnum import QContext, f_series
+from baxq.qnum import QContext, f_series, relative
 
 CTX = QContext(q=0.7)
 
@@ -34,3 +34,8 @@ def test_f_series_telescopes_to_log(rank_plus_one, radius, angle):
 def test_f_series_diverges_outside_disk():
     with pytest.raises(ValueError):
         f_series(2, 1.2, CTX)
+
+
+def test_relative_reads_zero_against_zero_as_zero():
+    assert relative(3.0, 4.0) == 0.75
+    assert relative(0.0, 0.0) == 0.0
