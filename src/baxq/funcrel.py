@@ -12,14 +12,13 @@ each relation is a scalar identity per eigenline.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fundrep import direct_transfer
-from .qnum import f_series, relative
+from .qnum import normalization, relative
 from .qop import QFamily, op_det
 from .rootdata import rho
 
@@ -108,19 +107,19 @@ class TransferFromQ:
         """Scalar relating the chain-level T_{a,m} to its universal image.
 
         T_{a,m} as built from determinants of chain Q-operators equals the
-        universal operator times exp(-n sum_b F(q^{e_b} zeta^s)), where F is
-        the normalization series of the Q-operator traces and e_b runs over
-        the column shifts of the determinant.  Requires |q^{e_b} zeta^s| < 1
-        for all b, so zeta must be small enough for large m.
+        universal operator times prod_b N(q^{e_b} zeta^s)^n, where
+        N = exp(-F) is the normalization product of the Q-operator traces
+        (`qnum.normalization`) and e_b runs over the column shifts of the
+        determinant.
         """
         fam = self.fam
         l, s = fam.l, fam.grading.total
         zs = zeta ** s
-        tot = 0.0 + 0j
+        out = 1.0 + 0j
         for b in range(1, l + 2):
             e = (m + a if b <= a else a - m) + l + 2 - 2 * b
-            tot += f_series(l + 1, fam.ctx.qpow(e) * zs, fam.ctx)
-        return cmath.exp(-fam.n * tot)
+            out *= normalization(l + 1, fam.ctx.qpow(e) * zs, fam.ctx)
+        return out ** fam.n
 
     def t_hat(self, a: int, m: int, zeta: complex) -> np.ndarray:
         """Universally normalized T_{a,m}: boundary columns become 1."""
@@ -179,8 +178,8 @@ def check_jacobi_trudi(tq: TransferFromQ, a: int, m: int,
 
     Unlike the T-system, the permutation terms of this determinant do not
     all carry the same chain-level normalization scalar, so the identity is
-    checked on the universally normalized family `t_hat`.  Where its
-    normalization series diverges (small q, or a large shift of zeta),
+    checked on the universally normalized family `t_hat`.  At an exact zero
+    or pole of its normalization product, a measure-zero set of zeta,
     nothing is measured and the reason says so.
     """
     s = tq.fam.grading.total
@@ -193,10 +192,8 @@ def check_jacobi_trudi(tq: TransferFromQ, a: int, m: int,
             for i in range(m)
         ]
         lhs = tq.t_hat(a, m, zeta)
-    except ValueError as exc:
-        return RelationReport("jacobi-trudi", None, details,
-                              "normalization series f_series of t_hat: %s"
-                              % exc)
+    except ZeroDivisionError as exc:
+        return RelationReport("jacobi-trudi", None, details, str(exc))
     det = op_det(blocks, np.multiply)
     return RelationReport("jacobi-trudi", _rel_residual(lhs - det, lhs, det),
                           details)

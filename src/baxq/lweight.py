@@ -2,9 +2,8 @@
 
 The joint eigenvalues of the commuting currents on the relevant modules are
 ratios of products of factors (1 - q^e zeta^s u).  This module represents
-such components as explicit factor lists (multisets of exponents e), which
-supports both numerical evaluation and exact structural comparisons, and
-implements:
+such components as explicit factor lists (multisets of exponents e), so
+identities between them are exact comparisons of lists, and implements:
 
 * the l components of the oscillator-module weights (three cases: a = 1,
   a = 2..l, a = l+1) together with their omega-basis weight parts;
@@ -18,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
-
-from .qnum import QContext
 
 
 @dataclass(frozen=True)
@@ -51,16 +48,6 @@ class FactorRatio:
             else:
                 den.append(e)
         return FactorRatio(tuple(sorted(num)), tuple(sorted(den)))
-
-    def value(self, zeta: complex, u: complex, s: int,
-              ctx: QContext) -> complex:
-        zs = zeta ** s
-        out = 1.0 + 0j
-        for e in self.num:
-            out *= 1.0 - ctx.qpow(e) * zs * u
-        for e in self.den:
-            out /= 1.0 - ctx.qpow(e) * zs * u
-        return out
 
 
 @dataclass
@@ -154,22 +141,33 @@ def _shifted_product(mu: Sequence[float], i: int, l: int,
     return out
 
 
-def check_shifted_product(mu: Sequence[float], zeta: complex, u: complex,
-                          l: int, ctx: QContext) -> Tuple[float, float]:
-    """Residuals of the factorization of the evaluation highest weight.
+def check_shifted_product(mu: Sequence[int], l: int) -> Tuple[int, float]:
+    """Exact check of the factorization of the evaluation highest weight.
 
-    Returns the worst relative component residual over i = 1..l and the
-    worst absolute weight residual of
-    sum_a psi_{a,0} = lambda_0 + delta.
+    For i = 1..l, the product of shifted oscillator components times the
+    inverted highest-weight component is canceled as a factor list.
+    Returns the number of factors left over, over all i, and the largest
+    absolute mismatch of sum_a psi_{a,0} = lambda_0 + delta.
+
+    Every exponent is 2 mu_a + c with an integer c in [1 - l, l + 1].  At
+    an integer mu with |mu_a - mu_b| > l for all a != b, two exponents
+    agree exactly when their a and c agree, so the cancellation is the
+    formal one: no leftover at one such mu proves the component identity
+    for every mu.  Both sides of the weight identity are independent of mu.
+    Any other mu is refused.
     """
-    s = l + 1
+    ordered = sorted(mu)
+    if any(m != int(m) for m in mu) or any(
+            b - a <= l for a, b in zip(ordered, ordered[1:])):
+        raise ValueError("mu must be integers more than l apart")
     target = highest_lweight(mu, l)
     vacuum = _vacuum(l)
-    comp_resid = 0.0
+    leftover = 0
     for i in range(1, l + 1):
-        lhs = _shifted_product(mu, i, l, vacuum).value(zeta, u, s, ctx)
-        rhs = target.plus_components[i - 1].value(zeta, u, s, ctx)
-        comp_resid = max(comp_resid, abs(lhs / rhs - 1.0))
+        comp = target.plus_components[i - 1]
+        rest = (_shifted_product(mu, i, l, vacuum)
+                * FactorRatio(comp.den, comp.num)).canceled()
+        leftover += len(rest.num) + len(rest.den)
     total = [0.0] * l
     for psi in vacuum:
         total = [x + y for x, y in zip(total, psi.weight)]
@@ -178,7 +176,7 @@ def check_shifted_product(mu: Sequence[float], zeta: complex, u: complex,
         abs(t - (w0 + d))
         for t, w0, d in zip(total, target.weight, delta)
     )
-    return comp_resid, weight_resid
+    return leftover, weight_resid
 
 
 def conjectured_xi(mu: Sequence[float], n_mat: Sequence[Sequence[int]],

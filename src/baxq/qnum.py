@@ -1,4 +1,4 @@
-"""Deformation-parameter arithmetic: powers of q and the normalization series.
+"""Deformation-parameter arithmetic: powers of q and the normalization product.
 
 Everything downstream works with powers of a fixed deformation parameter q.
 Symbolic exponents are plain numbers (integers wherever the library builds
@@ -7,10 +7,12 @@ them); the twist enters numerically, as per-mode shifts at the trace.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
-# Relative threshold for pruning, pole screens and the `f_series` cutoff.
+# Relative threshold for pruning and pole screens.
 TOLERANCE = 1e-12
 
 
@@ -47,31 +49,27 @@ class QContext:
         return self.q ** nu
 
 
-# Terms summed by `f_series` before it gives up.
-F_SERIES_MAX_TERMS = 100000
+def normalization(L: int, z: complex, ctx: QContext) -> complex:
+    """exp(-F(z)) for F(z) = sum_{n>=1} z^n / (n [L]_{q^n}), with |q| < 1.
 
-
-def f_series(rank_plus_one: int, z: complex, ctx: QContext) -> complex:
-    """sum_{n>=1} z^n / (n [rank_plus_one]_{q^n}), convergent for |z| < 1.
-
-    Satisfies sum_{j=1}^{L} F(q^{L-2j+1} z) = -log(1 - z) with
-    L = rank_plus_one, which the tests exercise.
+    Expanding 1/[L]_{q^n} as a geometric series in q^{2Ln} gives
+    prod_{k>=0} (1 - q^{L-1+2Lk} z) / (1 - q^{L+1+2Lk} z): the analytic
+    continuation of exp(-F) to every z off its poles.  Factors are taken
+    until q^{L-1+2Lk} |z| falls below double-precision epsilon.  A zero or
+    a pole, a factor below `TOLERANCE`, raises ZeroDivisionError (an
+    ArithmeticError): dividing by the product, or forming it, would divide
+    by zero.
     """
-    if abs(z) >= 1.0:
-        raise ValueError("series diverges for |z| >= 1 (got |z|=%g)" % abs(z))
-    total = 0.0 + 0j
-    zn = 1.0 + 0j
-    for n in range(1, F_SERIES_MAX_TERMS + 1):
-        zn *= z
-        term = zn / (n * _q_int(rank_plus_one, n, ctx))
-        total += term
-        if abs(term) < TOLERANCE * max(1.0, abs(total)):
-            return total
-    raise RuntimeError("series did not converge within %d terms"
-                       % F_SERIES_MAX_TERMS)
-
-
-def _q_int(m: int, n: int, ctx: QContext) -> complex:
-    """[m]_{q^n} without constructing a new context."""
-    qn = ctx.qpow(n)
-    return (qn ** m - qn ** (-m)) / (qn - 1.0 / qn)
+    if not abs(ctx.q) < 1.0:
+        raise ValueError("the normalization product needs |q| < 1")
+    out = 1.0 + 0j
+    for k in itertools.count():
+        e = L - 1 + 2 * L * k
+        zero = ctx.qpow(e) * z
+        if abs(zero) < sys.float_info.epsilon:
+            return out
+        num, den = 1.0 - zero, 1.0 - ctx.qpow(e + 2) * z
+        if abs(num) < TOLERANCE or abs(den) < TOLERANCE:
+            raise ZeroDivisionError("normalization product of [%d]_q has a "
+                                    "zero or pole at z = %r" % (L, z))
+        out *= num / den

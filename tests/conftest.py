@@ -8,23 +8,13 @@ from baxq.lop import GradingConfig
 from baxq.qnum import QContext
 
 
-@pytest.fixture
-def ctx1():
-    return QContext(q=0.7, tau=TwistConfig.default(1).tau)
-
-
-@pytest.fixture
-def ctx2():
-    return QContext(q=0.7, tau=TwistConfig.default(2).tau)
-
-
 def make_setup(l: int, n: int):
     """(twist, grading, ctx, family) for a default chain of rank l."""
     from baxq.qop import QFamily
 
     twist = TwistConfig.default(l)
     grading = GradingConfig.principal(l)
-    ctx = QContext(q=0.7, tau=twist.tau)
+    ctx = QContext(q=0.7)
     return twist, grading, ctx, QFamily(n, twist, grading, ctx)
 
 

@@ -16,9 +16,10 @@ import numpy as np
 from baxq import rootdata
 from baxq.bethe import BethePolynomial, _leveled_ratio
 from baxq.lop import GradingConfig, LOperator, _zero_matrix, build_L
-from baxq.lweight import FactorRatio, conjectured_xi
+from baxq.lweight import (FactorRatio, _shifted_product, _vacuum,
+                          conjectured_xi, highest_lweight, weight_shift)
 from baxq.oscalg import ModeKey, OscExpr, multiply
-from baxq.qnum import QContext
+from baxq.qnum import TOLERANCE, QContext
 from baxq.qop import QFamily, op_det
 
 
@@ -508,7 +509,76 @@ def o_image(kind: str, i: int, nu, a: int, l: int, ctx: QContext) -> OscExpr:
     raise ValueError("kind must be 'e' or 'h'")
 
 
+# -- normalization series -------------------------------------------------
+
+# Terms summed by `f_series` before it gives up.
+F_SERIES_MAX_TERMS = 100000
+
+
+def f_series(rank_plus_one: int, z: complex, ctx: QContext) -> complex:
+    """sum_{n>=1} z^n / (n [rank_plus_one]_{q^n}), convergent for |z| < 1.
+
+    Satisfies sum_{j=1}^{L} F(q^{L-2j+1} z) = -log(1 - z) with
+    L = rank_plus_one, which the tests exercise.
+    """
+    if abs(z) >= 1.0:
+        raise ValueError("series diverges for |z| >= 1 (got |z|=%g)" % abs(z))
+    total = 0.0 + 0j
+    zn = 1.0 + 0j
+    for n in range(1, F_SERIES_MAX_TERMS + 1):
+        zn *= z
+        term = zn / (n * _q_int(rank_plus_one, n, ctx))
+        total += term
+        if abs(term) < TOLERANCE * max(1.0, abs(total)):
+            return total
+    raise RuntimeError("series did not converge within %d terms"
+                       % F_SERIES_MAX_TERMS)
+
+
+def _q_int(m: int, n: int, ctx: QContext) -> complex:
+    """[m]_{q^n} without constructing a new context."""
+    qn = ctx.qpow(n)
+    return (qn ** m - qn ** (-m)) / (qn - 1.0 / qn)
+
+
 # -- l-weight formulas -----------------------------------------------------
+
+def factor_value(ratio: FactorRatio, zeta: complex, u: complex, s: int,
+                 ctx: QContext) -> complex:
+    """prod(1 - q^e zeta^s u) over the num exponents divided by the same
+    over the den exponents."""
+    zs = zeta ** s
+    out = 1.0 + 0j
+    for e in ratio.num:
+        out *= 1.0 - ctx.qpow(e) * zs * u
+    for e in ratio.den:
+        out /= 1.0 - ctx.qpow(e) * zs * u
+    return out
+
+
+def sampled_shifted_product(mu: Sequence[float], zeta: complex, u: complex,
+                            l: int, ctx: QContext) -> Tuple[float, float]:
+    """The factorization of the evaluation highest weight at one point,
+    both sides evaluated by `factor_value`: the reference for
+    `check_shifted_product`, at any real mu.
+
+    Returns the worst relative component residual over i = 1..l and the
+    worst absolute weight residual of sum_a psi_{a,0} = lambda_0 + delta.
+    """
+    s = l + 1
+    target = highest_lweight(mu, l)
+    vacuum = _vacuum(l)
+    comp_resid = 0.0
+    for i in range(1, l + 1):
+        lhs = factor_value(_shifted_product(mu, i, l, vacuum), zeta, u, s,
+                           ctx)
+        rhs = factor_value(target.plus_components[i - 1], zeta, u, s, ctx)
+        comp_resid = max(comp_resid, abs(lhs / rhs - 1.0))
+    total = [sum(w) for w in zip(*(psi.weight for psi in vacuum))]
+    weight_resid = max(abs(t - (w0 + d)) for t, w0, d in
+                       zip(total, target.weight, weight_shift(mu, l)))
+    return comp_resid, weight_resid
+
 
 def xi_weight(n_mat: Sequence[Sequence[int]], l: int) -> Tuple[float, ...]:
     """Weight part accompanying the general components."""

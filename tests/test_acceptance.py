@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from baxq.bethe import bae_residual, path_polynomials
-from baxq.borelhoms import TwistConfig
 from baxq.cli import TOLERANCES
 from baxq.funcrel import (TransferFromQ, check_direct_vs_q,
                           check_jacobi_trudi, check_master_tq,
@@ -19,14 +18,15 @@ from baxq.funcrel import (TransferFromQ, check_direct_vs_q,
                           check_t_symmetries, check_t_system, check_unit_q)
 from baxq.fundrep import yang_baxter_residual
 from baxq.lop import GradingConfig, build_L
-from baxq.lweight import check_shifted_product, conjectured_xi
+from baxq.lweight import conjectured_xi
 from baxq.oscalg import trace_powers
 from baxq.qnum import QContext
 from baxq.qop import SectorLabel
 
 from conftest import make_setup
 from oracles import (TruncatedFock, build_L_factored_oracle,
-                     max_entry_difference, truncated_trace)
+                     max_entry_difference, sampled_shifted_product,
+                     truncated_trace)
 from test_oscalg import random_balanced_expr
 
 TOL = TOLERANCES["relations"]
@@ -43,7 +43,7 @@ def test_criterion_01_lax_matrix_exactness():
     rng = random.Random(101)
     for l in (1, 2, 3):
         grading = GradingConfig.principal(l)
-        ctx = QContext(q=0.7, tau=TwistConfig.default(l).tau)
+        ctx = QContext(q=0.7)
         for _ in range(3):
             zeta = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
             closed = build_L(zeta, grading, ctx)
@@ -52,7 +52,7 @@ def test_criterion_01_lax_matrix_exactness():
 
 
 def test_criterion_02_trace_engine():
-    ctx = QContext(q=0.7, tau=(3.1, 1.9))
+    ctx = QContext(q=0.7)
     rng = random.Random(202)
     for _ in range(100):
         expr, sign = random_balanced_expr(rng)
@@ -160,7 +160,7 @@ def test_criterion_10_lweight_factorization():
             mu = [rng.uniform(-2.5, 2.5) for _ in range(l + 1)]
             zeta = complex(rng.uniform(0.2, 0.8), rng.uniform(-0.2, 0.2))
             u = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            comp, wt = check_shifted_product(mu, zeta, u, l, ctx)
+            comp, wt = sampled_shifted_product(mu, zeta, u, l, ctx)
             assert comp < 1e-10 and wt < 1e-10, (l, mu)
         # exact structural independence from the out-of-window labels
         mu = [rng.uniform(-2, 2) for _ in range(l + 1)]

@@ -110,7 +110,7 @@ def test_prefix_polynomials_match_dense_eigenvalues(l, n, s):
     eigenvalues of the dense dressed generalized Q, on and off the real
     axis."""
     twist, grading = TwistConfig.default(l), GradingConfig(s)
-    fam = QFamily(n, twist, grading, QContext(q=0.7, tau=twist.tau))
+    fam = QFamily(n, twist, grading, QContext(q=0.7))
     path = tuple(range(1, l + 2))
     for label, idxs in fam.sectors.items():
         for line in range(len(idxs)):

@@ -11,8 +11,7 @@ from baxq.qnum import QContext
 from oracles import o_image, summed_twist_diagonal, twist_coefficients
 
 
-def _ctx(l):
-    return QContext(q=0.7, tau=TwistConfig.default(l).tau)
+CTX = QContext(q=0.7)
 
 
 def _affine_cartan(i, j, l):
@@ -29,14 +28,13 @@ def _affine_cartan(i, j, l):
                                  for a in range(1, l + 2)])
 def test_cartan_conjugation_of_raising_generators(a, l):
     """q^{h_i} e_j q^{-h_i} = q^{A_ij} e_j in every realization."""
-    ctx = _ctx(l)
     for i in range(l + 1):
         for j in range(l + 1):
-            h = o_image("h", i, 1, a, l, ctx)
-            hinv = o_image("h", i, -1, a, l, ctx)
-            e = o_image("e", j, None, a, l, ctx)
-            lhs = multiply(multiply(h, e, ctx), hinv, ctx)
-            rhs = e.scale(ctx.qpow(_affine_cartan(i, j, l)))
+            h = o_image("h", i, 1, a, l, CTX)
+            hinv = o_image("h", i, -1, a, l, CTX)
+            e = o_image("e", j, None, a, l, CTX)
+            lhs = multiply(multiply(h, e, CTX), hinv, CTX)
+            rhs = e.scale(CTX.qpow(_affine_cartan(i, j, l)))
             assert (lhs - rhs).prune().max_abs() < 1e-12
 
 

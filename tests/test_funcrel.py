@@ -57,16 +57,20 @@ def test_t_system(tq21):
         assert rep.residual < TOL, (a, m, rep.residual)
 
 
-def test_jacobi_trudi_needs_normalized_family(tq12):
+def test_jacobi_trudi_needs_normalized_family(tq12, tq32):
     rep = check_jacobi_trudi(tq12, 1, 2, 0.3)
     assert rep.residual < TOL, rep.residual
+    for a, m in ((1, 2), (2, 2), (1, 3)):
+        rep = check_jacobi_trudi(tq32, a, m, 0.3)
+        assert rep.residual < TOL, (a, m, rep.residual)
 
 
-def test_t_hat_boundary_is_unity(tq12):
-    ident = tq12.fam.identity()
-    for zeta in (0.25, 0.4):
-        m = tq12.t_hat(0, 1, zeta)
-        assert np.max(np.abs(m - ident)) < 1e-10
+def test_t_hat_boundary_is_unity(tq12, tq32):
+    for tq in (tq12, tq32):
+        ident = tq.fam.identity()
+        for zeta in (0.25, 0.4):
+            m = tq.t_hat(0, 1, zeta)
+            assert np.max(np.abs(m - ident)) < 1e-10
 
 
 def test_qq_jacobi(tq21):

@@ -12,7 +12,7 @@ from oracles import jimbo_r
 
 
 def _rep(l, zeta):
-    ctx = QContext(q=0.7, tau=TwistConfig.default(l).tau)
+    ctx = QContext(q=0.7)
     return FundRep(zeta, GradingConfig.principal(l), ctx)
 
 
@@ -60,7 +60,7 @@ def test_intertwiner_is_unique_and_nontrivial():
 
 def test_yang_baxter_holds():
     g = GradingConfig.principal(1)
-    ctx = QContext(q=0.7, tau=TwistConfig.default(1).tau)
+    ctx = QContext(q=0.7)
     assert yang_baxter_residual(g, ctx, 0.4, 0.9, 1.7) < 1e-10
 
 
@@ -68,7 +68,7 @@ def test_direct_transfer_depends_on_zeta():
     l, n = 1, 2
     twist = TwistConfig.default(l)
     g = GradingConfig.principal(l)
-    ctx = QContext(q=0.7, tau=twist.tau)
+    ctx = QContext(q=0.7)
     t1 = direct_transfer(0.3, n, twist, g, ctx)
     t2 = direct_transfer(0.7, n, twist, g, ctx)
     assert np.max(np.abs(t1 - t2)) > 1e-3
@@ -78,7 +78,7 @@ def test_direct_transfer_family_commutes():
     l, n = 1, 2
     twist = TwistConfig.default(l)
     g = GradingConfig.principal(l)
-    ctx = QContext(q=0.7, tau=twist.tau)
+    ctx = QContext(q=0.7)
     t1 = direct_transfer(0.3, n, twist, g, ctx)
     t2 = direct_transfer(0.7, n, twist, g, ctx)
     assert np.max(np.abs(t1 @ t2 - t2 @ t1)) < 1e-10
@@ -97,7 +97,7 @@ def test_direct_transfer_matches_kron_monodromy(l, n):
     d = l + 1
     twist = TwistConfig.default(l)
     g = GradingConfig.principal(l)
-    ctx = QContext(q=0.7, tau=twist.tau)
+    ctx = QContext(q=0.7)
     zeta = 0.55
     aux = FundRep(zeta, g, ctx)
     r = solve_intertwiner(aux, FundRep(1.0, g, ctx)).matrix

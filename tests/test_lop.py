@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from baxq.borelhoms import TwistConfig
 from baxq.lop import GradingConfig, build_L, build_L_a
 from baxq.qnum import QContext
 
@@ -11,20 +10,18 @@ from oracles import (build_L_factored_oracle, conjugated_L_a,
                      max_entry_difference)
 
 
-def _ctx(l):
-    return QContext(q=0.7, tau=TwistConfig.default(l).tau)
+CTX = QContext(q=0.7)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_closed_form_matches_factored_oracle(l):
     rng = random.Random(7 + l)
     grading = GradingConfig.principal(l)
-    ctx = _ctx(l)
     for _ in range(2):
         zeta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        a = build_L(zeta, grading, ctx)
-        b = build_L_factored_oracle(zeta, grading, ctx)
-        assert max_entry_difference(a, b, ctx) < 1e-12
+        a = build_L(zeta, grading, CTX)
+        b = build_L_factored_oracle(zeta, grading, CTX)
+        assert max_entry_difference(a, b, CTX) < 1e-12
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -32,13 +29,12 @@ def test_rotated_family_closes(l):
     """a = l+1 gives back the basic matrix; all a are well-defined."""
     zeta = 0.4 + 0.1j
     grading = GradingConfig.principal(l)
-    ctx = _ctx(l)
-    basic = build_L(zeta, grading, ctx)
-    again = build_L_a(l + 1, zeta, grading, ctx)
-    assert max_entry_difference(basic, again, ctx) == 0.0
+    basic = build_L(zeta, grading, CTX)
+    again = build_L_a(l + 1, zeta, grading, CTX)
+    assert max_entry_difference(basic, again, CTX) == 0.0
     for a in range(1, l + 1):
-        rot = build_L_a(a, zeta, grading, ctx)
-        assert max_entry_difference(basic, rot, ctx) > 0.1
+        rot = build_L_a(a, zeta, grading, CTX)
+        assert max_entry_difference(basic, rot, CTX) > 0.1
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -46,13 +42,12 @@ def test_rotation_index_map_matches_conjugation(l):
     """The index map gives the same terms, in the same order, as conjugating
     a times with the cyclic shift, and the same coefficients up to the
     rounding of the q and 1/q factors the conjugation multiplies."""
-    ctx = _ctx(l)
     for s in [(1,) * (l + 1), tuple(range(1, l + 2)), (2,) + (0,) * l]:
         grading = GradingConfig(s)
         for zeta in (None, 0.6 + 0.3j):
             for a in range(1, l + 2):
-                got = build_L_a(a, zeta, grading, ctx)
-                ref = conjugated_L_a(a, zeta, grading, ctx)
+                got = build_L_a(a, zeta, grading, CTX)
+                ref = conjugated_L_a(a, zeta, grading, CTX)
                 assert got.grading == ref.grading
                 for row_got, row_ref in zip(got.entries, ref.entries):
                     for x, y in zip(row_got, row_ref):
@@ -65,7 +60,7 @@ def test_rotation_index_map_matches_conjugation(l):
 def test_rotation_out_of_range_raises():
     grading = GradingConfig.principal(2)
     with pytest.raises(ValueError):
-        build_L_a(0, 0.3, grading, _ctx(2))
+        build_L_a(0, 0.3, grading, CTX)
 
 
 def test_grading_partial_sums():
@@ -79,8 +74,7 @@ def test_grading_partial_sums():
 def test_entry_indexing_is_one_based():
     l = 1
     grading = GradingConfig.principal(l)
-    ctx = _ctx(l)
-    lop = build_L(0.5, grading, ctx)
+    lop = build_L(0.5, grading, CTX)
     # Top-left entry of the basic matrix is the bare Cartan power q^{N_1}.
     ((key, coeff),) = lop.entry(1, 1).terms
     assert coeff == pytest.approx(1.0)
@@ -90,9 +84,8 @@ def test_zeta_dependence_is_polynomial():
     """Entries at zeta and -zeta differ only in odd-grade terms (s = 1)."""
     l = 1
     grading = GradingConfig.principal(l)
-    ctx = _ctx(l)
-    plus = build_L(0.5, grading, ctx)
-    minus = build_L(-0.5, grading, ctx)
+    plus = build_L(0.5, grading, CTX)
+    minus = build_L(-0.5, grading, CTX)
     # Off-diagonal entries carry a single power of zeta and flip sign.
     diff = plus.entry(2, 1) - minus.entry(2, 1).scale(-1.0)
     assert diff.prune().max_abs() == 0.0

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from baxq import lweight
 from baxq.lweight import (FactorRatio, check_shifted_product, conjectured_xi,
                           highest_lweight, osc_psi, weight_shift)
 from baxq.qnum import QContext
 
-from oracles import conjectured_lambda_plus, xi_weight
+from oracles import (conjectured_lambda_plus, factor_value,
+                     sampled_shifted_product, xi_weight)
 
 CTX = QContext(q=0.7)
 
@@ -24,7 +26,7 @@ def test_factor_ratio_algebra():
 def test_factor_ratio_value():
     r = FactorRatio((1.0,), (0.0,))
     z, u = 0.4, 0.9
-    got = r.value(z, u, 2, CTX)
+    got = factor_value(r, z, u, 2, CTX)
     assert got == pytest.approx((1 - 0.7 * z ** 2 * u) / (1 - z ** 2 * u))
 
 
@@ -58,9 +60,48 @@ def test_shifted_product_identity_random():
                         reverse=True)
             zeta = 0.3 + 0.5 * rng.random()
             u = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.3, 0.3))
-            comp, wt = check_shifted_product(mu, zeta, u, l, CTX)
+            comp, wt = sampled_shifted_product(mu, zeta, u, l, CTX)
             assert comp < 1e-10
             assert wt < 1e-10
+
+
+def _spaced(l):
+    return [10 * a for a in range(1, l + 2)]
+
+
+def test_shifted_product_identity_is_exact():
+    """No factor is left over and the weights agree exactly, l = 1..5."""
+    for l in range(1, 6):
+        assert check_shifted_product(_spaced(l), l) == (0, 0.0)
+
+
+def test_shifted_product_rejects_labels_too_close():
+    for mu in ([10, 20.5], [10, 12, 30]):
+        with pytest.raises(ValueError):
+            check_shifted_product(mu, len(mu) - 1)
+
+
+@pytest.mark.parametrize("mutation, leftovers", [
+    ("off-by-one-shift", (4, 8, 12)), ("shifted-highest-weight", (4, 4, 4))])
+def test_shifted_product_mutation_leaves_factors(mutation, leftovers,
+                                                 monkeypatch):
+    """An off-by-one shift in the product leaves four factors per
+    component; a shifted highest-weight component leaves four."""
+    if mutation == "off-by-one-shift":
+        orig = lweight._shifted_product
+        monkeypatch.setattr(lweight, "_shifted_product",
+                            lambda *args: orig(*args).shifted(1))
+    else:
+        orig = lweight.highest_lweight
+
+        def shifted_first(mu, l):
+            lw = orig(mu, l)
+            comps = (lw.plus_components[0].shifted(1),) \
+                + lw.plus_components[1:]
+            return lweight.LWeight(lw.weight, comps)
+        monkeypatch.setattr(lweight, "highest_lweight", shifted_first)
+    for l, want in zip((1, 2, 3), leftovers):
+        assert check_shifted_product(_spaced(l), l) == (want, 0.0)
 
 
 def test_weight_shift_values():

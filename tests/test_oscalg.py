@@ -11,7 +11,7 @@ from baxq.oscalg import OscExpr, TracePoleError, multiply, trace_powers
 
 from oracles import TruncatedFock, to_truncated, truncated_trace
 
-CTX = QContext(q=0.7, tau=(3.1, 1.9))
+CTX = QContext(q=0.7)
 
 
 def _bdag(modes=1, mode=1):

@@ -78,7 +78,7 @@ def test_horner_matches_numeric_trace(l, n, s):
     monodromy built at each zeta; each sector block has n+1 coefficients and
     the straight-line trace puts nothing between sectors."""
     twist, grading = TwistConfig.default(l), GradingConfig(s)
-    ctx = QContext(q=0.7, tau=twist.tau)
+    ctx = QContext(q=0.7)
     states = basis_states(l, n)
     secs = sectors(l, n)
     same = np.zeros((len(states),) * 2, dtype=bool)
@@ -111,7 +111,7 @@ def test_coefficients_vanish_above_occupation(l, n, s):
     """On sector k, Q'_a is a polynomial of degree k_a in z: every slice
     above k_a is exactly zero, and `coefficients` is what q_op evaluates."""
     twist, grading = TwistConfig.default(l), GradingConfig(s)
-    fam = QFamily(n, twist, grading, QContext(q=0.7, tau=twist.tau))
+    fam = QFamily(n, twist, grading, QContext(q=0.7))
     for a in range(1, l + 2):
         stacks = fam.coefficients(a)
         for label, c in stacks.items():
@@ -127,7 +127,7 @@ def test_q_op_matches_dense_assembly(l, n, s):
     its dressing times the Horner sum of its coefficients, placed at the
     sector's basis indices."""
     twist, grading = TwistConfig.default(l), GradingConfig(s)
-    fam = QFamily(n, twist, grading, QContext(q=0.7, tau=twist.tau))
+    fam = QFamily(n, twist, grading, QContext(q=0.7))
     for a in range(1, l + 2):
         for zeta in (0.55, 0.6 + 0.3j, 1j):
             ref = np.zeros((fam.dim, fam.dim), dtype=complex)
@@ -145,7 +145,7 @@ def test_eigenline_values_are_projected_dense_operators(l, n, s):
     column, the eigenvalues of the dense operators in each sector's basis;
     c_l is constant on a sector."""
     twist, grading = TwistConfig.default(l), GradingConfig(s)
-    fam = QFamily(n, twist, grading, QContext(q=0.7, tau=twist.tau))
+    fam = QFamily(n, twist, grading, QContext(q=0.7))
     tuples = [(a,) for a in range(1, l + 2)] + [(1, 2), (2, 1)]
     for zeta in (0.55, 0.6 + 0.3j):
         got = {at: fam.generalized_q(at, zeta) for at in tuples}
