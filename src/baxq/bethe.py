@@ -4,10 +4,10 @@
 z = zeta^s per weight sector, and `QFamily.basis` gives each sector's joint
 eigenbasis, which diagonalizes every slice of every Q'_a.  Along an
 eigenline the diagonal is a polynomial of degree k_a, and a generalized
-Q-function (a determinant of shifted Q_a's) is a power of zeta times the
-determinant of shifted scalar polynomials.  These are formed and factored
-without evaluating any operator.  The nested Bethe equations, in leveled
-product form, are evaluated at the roots.
+Q-function (a determinant of shifted Q_a's) is a power of zeta times a
+polynomial in z, formed by `qop.line_det` as for the relations and factored
+here without evaluating any operator.  The nested Bethe equations, in
+leveled product form, are evaluated at the roots.
 """
 from __future__ import annotations
 
@@ -18,11 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .qnum import relative
-from .qop import QFamily, SectorLabel, dressing_exponent, op_det
-
-# RECON_TOL bounds the relative size of an eigenline's coefficients above
-# degree k_a.
-RECON_TOL = 1e-7
+from .qop import QFamily, SectorLabel, dressing_exponent, line_det
 
 
 @dataclass
@@ -39,7 +35,6 @@ class BethePolynomial:
     leading: complex
     prefactor: float
     roots: List[complex]
-    recon_residual: float
 
     @property
     def degree(self) -> int:
@@ -62,34 +57,23 @@ def eigen_polynomial(fam: QFamily, a_tuple: Sequence[int],
                      label: SectorLabel, eigenline: int) -> BethePolynomial:
     """Eigenline polynomial in z = zeta^s of a generalized Q, factored.
 
-    With zeta^{D_{a_i}} taken out of row i, entry (i, j) of the
-    determinant has coefficients c_{a_i,k} q^{(p-2j+1)(k + D_{a_i}/s)}.
-    The recorded residual is the relative size of the coefficients
-    dropped above degree k_a.
+    The determinant det( Q_{a_i}(q^{(p-2j+1)/s} zeta) ) of `line_det`, on
+    the line's coefficient rows of the sector basis.
     """
     at = tuple(a_tuple)
     coeffs = fam.basis(label)[2]
     p = len(at)
-    s = fam.grading.total
-    pref, resid, rows = 0.0, 0.0, []
-    for a in at:
-        k, c = label.k[a - 1], coeffs[a][eigenline]
-        drop = float(relative(np.abs(c[k + 1:]).max(initial=0.0),
-                              np.abs(c).max()))
-        if drop > RECON_TOL:
-            raise ArithmeticError("Q_%d eigenline polynomial exceeds "
-                                  "degree %d (residual %.2e)"
-                                  % (a, k, drop))
-        resid = max(resid, drop)
-        d = dressing_exponent(a, label, fam.twist, fam.grading)
-        pref += d
-        rows.append([c[:k + 1] * np.array(
-            [fam.ctx.qpow((p - 2 * j + 1) * (e + d / s))
-             for e in range(k + 1)]) for j in range(1, p + 1)])
-    poly = op_det(rows, np.convolve) if rows else np.ones(1, dtype=complex)
-    roots = [complex(r) for r in np.roots(poly[::-1])] if p else []
+    dress = [dressing_exponent(a, label, fam.twist, fam.grading) for a in at]
+    if p:
+        poly = line_det([coeffs[a][eigenline][:, None] for a in at],
+                        [np.array([d]) for d in dress],
+                        [p - 2 * j + 1 for j in range(1, p + 1)],
+                        fam.grading.total, fam.ctx)[:, 0]
+    else:
+        poly = np.ones(1, dtype=complex)
+    roots = [complex(r) for r in np.roots(poly[::-1])]
     return BethePolynomial(at, label, eigenline, complex(poly[-1]),
-                           pref, roots, resid)
+                           sum(dress, 0.0), roots)
 
 
 def path_polynomials(fam: QFamily, path: Sequence[int], label: SectorLabel,

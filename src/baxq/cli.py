@@ -37,7 +37,7 @@ from .lweight import check_shifted_product, conjectured_xi
 from .qnum import QContext, relative
 from .qop import QFamily, save_matrix
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ALL_SUITES = ("relations", "bethe", "lweights")
 # Pass bounds: an entry passes when its residual lies below the bound of its
 # kind.  "relations" covers every relation entry but the R-matrix
@@ -206,8 +206,8 @@ def _relations_suite(fam: QFamily, rng: random.Random) -> List[dict]:
 def _bethe_suite(fam: QFamily, rng: random.Random) -> dict:
     """Roots and nested-equation residuals of every eigenline.
 
-    A sector whose eigenbasis or polynomials cannot be formed (an
-    ArithmeticError) gives one failed entry per eigenline under "failures".
+    A sector whose eigenbasis cannot be formed (an ArithmeticError) gives
+    one failed entry per eigenline under "failures".
     """
     l = fam.l
     path = tuple(range(1, l + 2))
@@ -228,7 +228,6 @@ def _bethe_suite(fam: QFamily, rng: random.Random) -> dict:
                     "leading": [p.leading.real, p.leading.imag],
                     "prefactor": p.prefactor,
                     "roots": [[r.real, r.imag] for r in p.roots],
-                    "recon_residual": p.recon_residual,
                 })
             for i in range(1, l + 1):
                 for m in range(len(polys[i - 1].roots)):

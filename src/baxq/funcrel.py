@@ -138,7 +138,7 @@ def check_master_tq(tq: TransferFromQ, a: int, mu: Sequence,
         raise ValueError("mu must have l + 2 components")
     resid = _alternating_residual(
         tq.s_op([mu[c] for c in range(l + 2) if c != b], zeta)
-        * fam.q_lines(a, fam.ctx.qpow(2 * mu[b] / s) * zeta)
+        * fam.generalized_q((a,), fam.ctx.qpow(2 * mu[b] / s) * zeta)
         for b in range(l + 2))
     return RelationReport("master-tq", resid,
                           {"a": a, "mu": list(mu), "zeta": _pair(zeta)})

@@ -9,15 +9,16 @@ finally dressed with a sector-diagonal power of the spectral parameter.
 Operators with different a and different spectral parameters all commute,
 which the tests verify.
 
-The undressed operator Q'_a is a matrix polynomial of degree n in
-z = zeta^s that vanishes between weight sectors.  It is built once per a,
-from the zeta-free Lax matrix, as exact coefficients: one (n+1, m, m) stack
-per sector of size m.  The Q'_a commute, so one basis per sector
-(`QFamily.basis`) diagonalizes every slice of every Q'_a, and every operator
-of a family (Q_a at a given zeta, determinants of shifted Q's, the transfer
-operators of `funcrel`) is a vector of its dim eigenvalues, ordered by
-sector (as in `sectors`) and then by basis column.  Only `QFamily.q_op`
-forms a (dim, dim) matrix.
+The undressed operator Q'_a vanishes between weight sectors, and on sector
+k it is a matrix polynomial of degree k_a in z = zeta^s.  It is built once
+per a, from the zeta-free Lax matrix, as exact coefficients: one
+(k_a+1, m, m) stack per sector of size m.  The Q'_a commute, so one basis
+per sector (`QFamily.basis`) diagonalizes every slice of every Q'_a, and
+every operator of a family (Q_a at a given zeta, determinants of shifted
+Q's, the transfer operators of `funcrel`) is a vector of its dim
+eigenvalues, ordered by sector (as in `sectors`) and then by basis column.
+Every determinant of shifted Q's is formed by `line_det`, as a polynomial
+in z on each eigenline.  Only `QFamily.q_op` forms a (dim, dim) matrix.
 """
 from __future__ import annotations
 
@@ -101,10 +102,10 @@ def _walk(site: int, expr, row: int, col: int, weight: int, excess: list,
     minus column occupation counts so far.  Each site can cancel at most two
     units of excess, so a branch stops once the remaining sites cannot make
     row and column one sector, or once the product vanishes.  `env` holds
-    (Lax entries, sector blocks, block of each state, position of each state
-    in its block, module signs, twist shifts, s, context).
+    (a, Lax entries, sector stacks, sector of each state, position of each
+    state in its sector, module signs, twist shifts, s, context).
     """
-    entries, blocks, block_of, pos, signs, shifts, s, ctx = env
+    a, entries, blocks, block_of, pos, signs, shifts, s, ctx = env
     dim = len(entries)
     for i in range(dim):
         excess[i] += 1
@@ -121,9 +122,15 @@ def _walk(site: int, expr, row: int, col: int, weight: int, excess: list,
                         # A Lax term in entry (i, j) has zeta-power
                         # phi(i) - phi(j) mod s for one fixed phi, so the
                         # powers of an in-sector pair are multiples of s.
-                        blk = blocks[block_of[r]]
+                        label = block_of[r]
+                        blk = blocks[label]
                         for p, val in trace_powers(prod, signs, ctx,
                                                    shifts).items():
+                            if p // s >= len(blk):
+                                raise ArithmeticError(
+                                    "Q'_%d has a z^%d term on sector %s, "
+                                    "above its degree %d"
+                                    % (a, p // s, label.k, len(blk) - 1))
                             blk[p // s, pos[r], pos[c]] = val
                     else:
                         _walk(site - 1, prod, r, c, weight * dim, excess, env)
@@ -137,24 +144,24 @@ def q_prime(a: int, n: int, twist: TwistConfig, grading: GradingConfig,
 
     One walk over the zeta-free monodromy: the graded trace of each
     in-sector entry times the twist, split by power of zeta.  Returns, per
-    sector, a (n+1, m, m) array whose k-th slice multiplies z^k (rows and
-    columns in the order of `sectors`).  Entry (i, j) of the monodromy is
+    sector k, a (k_a+1, m, m) array whose j-th slice multiplies z^j (rows
+    and columns in the order of `sectors`); a term above degree k_a raises
+    ArithmeticError.  Entry (i, j) of the monodromy is
     L_{i_n j_n} ... L_{i_1 j_1}, formed left to right; pairs of states that
     share their last sites share the partial products over those sites.
     """
     l = grading.l
     lop = build_L_a(a, None, grading, ctx)
-    secs = sectors(l, n)
-    block_of, pos = {}, {}
-    blocks = []
-    for b, idxs in enumerate(secs.values()):
-        blocks.append(np.zeros((n + 1, len(idxs), len(idxs)), dtype=complex))
+    block_of, pos, blocks = {}, {}, {}
+    for label, idxs in sectors(l, n).items():
+        blocks[label] = np.zeros((label.k[a - 1] + 1, len(idxs), len(idxs)),
+                                 dtype=complex)
         for p, idx in enumerate(idxs):
-            block_of[idx], pos[idx] = b, p
+            block_of[idx], pos[idx] = label, p
     _walk(n - 1, None, 0, 0, 1, [0] * (l + 1),
-          (lop.entries, blocks, block_of, pos, module_signs(a, l),
+          (a, lop.entries, blocks, block_of, pos, module_signs(a, l),
            twist_diagonal(a, twist), grading.total, ctx))
-    return dict(zip(secs, blocks))
+    return blocks
 
 
 def horner(coeffs: np.ndarray, z: complex) -> np.ndarray:
@@ -165,12 +172,21 @@ def horner(coeffs: np.ndarray, z: complex) -> np.ndarray:
     return out
 
 
+def poly_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of polynomials with ascending coefficients along the leading
+    axis, elementwise over the others (one column per eigenline)."""
+    out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:], dtype=complex)
+    for k, ak in enumerate(a):
+        out[k:k + len(b)] += ak * b
+    return out
+
+
 def op_det(blocks: list, product) -> np.ndarray:
     """Determinant of a matrix of mutually commuting entries.
 
     Cofactor expansion along the first row.  `product` multiplies two
     entries: `np.multiply` for eigenline values, `np.matmul` for matrices,
-    `np.convolve` for polynomials (ascending coefficient arrays).
+    `poly_product` for polynomials.
     """
     p = len(blocks)
     if p == 1:
@@ -185,6 +201,23 @@ def op_det(blocks: list, product) -> np.ndarray:
             term = -term
         out = term if out is None else out + term
     return out
+
+
+def line_det(rows: Sequence[np.ndarray], dress: Sequence[np.ndarray],
+             powers: Sequence[float], s: int, ctx: QContext) -> np.ndarray:
+    """det( Q_{a_i}(q^{p_j/s} zeta) ) on eigenlines, as a polynomial in z.
+
+    rows[i] holds the coefficients of Q'_{a_i} in z = zeta^s, one column
+    per eigenline (zero above a line's degree), dress[i] the dressing
+    exponents D_{a_i} of those lines, and powers the column shifts p_j.
+    Entry (i, j) has the coefficients c_{a_i,k} q^{p_j (k + D_{a_i}/s)},
+    each power of q taken whole (rounded once), so the determinant is
+    zeta^{sum_i D_{a_i}} P(zeta^s); returns the coefficients of P,
+    ascending, one column per eigenline.
+    """
+    entries = [[r * np.power(ctx.q, p * (np.arange(len(r))[:, None] + d / s))
+                for p in powers] for r, d in zip(rows, dress)]
+    return op_det(entries, poly_product)
 
 
 MATRIX_FORMAT_VERSION = 1
@@ -310,15 +343,18 @@ class QFamily:
         """The identity: 1 on every eigenline."""
         return np.ones(self.dim, dtype=complex)
 
-    def q_lines(self, a: int, zeta: complex) -> np.ndarray:
-        """Dressed Q_a(zeta) = zeta^{D_a} Q'_a(zeta^s) on every eigenline."""
+    def _lines(self, a: int) -> tuple:
+        """(coefficient rows, dressing exponents) of Q_a on every eigenline,
+        in line order: rows is (n+1, dim), zero above each sector's k_a."""
         if a not in self._rows:
-            # (n+1, dim): coefficient k of every eigenline, in line order.
-            self._rows[a] = np.concatenate(
-                [self.basis(label)[2][a].T for label in self.sectors], axis=1)
-        dress = [cmath.exp(d * cmath.log(zeta)) for d in self._dress[a]]
-        return (np.repeat(dress, self._sizes)
-                * horner(self._rows[a], zeta ** self.grading.total))
+            rows = np.zeros((self.n + 1, self.dim), dtype=complex)
+            start = 0
+            for label, m in zip(self.sectors, self._sizes):
+                c = self.basis(label)[2][a]
+                rows[:c.shape[1], start:start + m] = c.T
+                start += m
+            self._rows[a] = rows, np.repeat(self._dress[a], self._sizes)
+        return self._rows[a]
 
     def q_op(self, a: int, zeta: complex) -> np.ndarray:
         """Dressed Baxter operator Q_a(zeta), dense, from its sector blocks."""
@@ -332,8 +368,9 @@ class QFamily:
                     zeta: complex) -> np.ndarray:
         """det( Q_{a_i}(q^{p_j/s} zeta) ): row i is a_i, column j is p_j."""
         s = self.grading.total
-        return op_det([[self.q_lines(a, self.ctx.qpow(p / s) * zeta)
-                        for p in powers] for a in a_tuple], np.multiply)
+        rows, dress = zip(*map(self._lines, a_tuple))
+        poly = line_det(rows, dress, powers, s, self.ctx)
+        return np.exp(sum(dress) * cmath.log(zeta)) * horner(poly, zeta ** s)
 
     def generalized_q(self, a_tuple: Sequence[int],
                       zeta: complex) -> np.ndarray:

@@ -20,7 +20,7 @@ from baxq.lweight import (FactorRatio, _shifted_product, _vacuum,
                           conjectured_xi, highest_lweight, weight_shift)
 from baxq.oscalg import ModeKey, OscExpr, multiply
 from baxq.qnum import TOLERANCE, QContext
-from baxq.qop import QFamily, op_det
+from baxq.qop import QFamily, dressing_exponent, horner, op_det
 
 
 def monodromy_entry(lop, row_state, col_state, ctx):
@@ -37,8 +37,9 @@ def dense_eigenvalue(fam, a_tuple, label, line, zeta):
 
     det( Q_{a_i}(q^{(p - 2j + 1)/s} zeta) ) expanded by `op_det` with
     `np.matmul` over dense `q_op` matrices, restricted to the sector and
-    projected with its basis: independent of the eigenline path
-    (`q_lines`, `bethe.eigen_polynomial`) that it checks.
+    projected with its basis: independent of the eigenline determinant
+    (`qop.line_det`, behind `QFamily.shifted_det` and
+    `bethe.eigen_polynomial`) that it checks.
     """
     p, s = len(a_tuple), fam.grading.total
     det = op_det([[fam.q_op(a, fam.ctx.qpow((p - 2 * j + 1) / s) * zeta)
@@ -46,6 +47,19 @@ def dense_eigenvalue(fam, a_tuple, label, line, zeta):
     idxs = fam.sectors[label]
     vecs, vinv, _ = fam.basis(label)
     return complex(vinv[line] @ det[np.ix_(idxs, idxs)] @ vecs[:, line])
+
+
+def q_lines(fam, a, zeta):
+    """Dressed Q_a(zeta) = zeta^{D_a} Q'_a(zeta^s) on every eigenline, one
+    Horner pass per sector over the basis rows: the 1x1 reference for the
+    determinants of `qop.line_det`."""
+    s = fam.grading.total
+    dress = [cmath.exp(dressing_exponent(a, label, fam.twist, fam.grading)
+                       * cmath.log(zeta)) for label in fam.sectors]
+    sizes = [len(idxs) for idxs in fam.sectors.values()]
+    return np.repeat(dress, sizes) * np.concatenate(
+        [horner(fam.basis(label)[2][a].T, zeta ** s)
+         for label in fam.sectors])
 
 
 def jimbo_r(z1, z2, grading, q):

@@ -51,7 +51,7 @@ def test_guard_admits_only_chains_the_default_twist_serves(capsys):
 def test_run_suite_relations_pass():
     report = run_suite(_small())
     assert report["passed"]
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     names = [r["name"] for r in report["relations"]]
     assert names == ["unit-q", "master-tq", "master-tt", "t-system",
                      "jacobi-trudi", "qq-jacobi", "t-trivial", "t-shift",
@@ -109,7 +109,7 @@ def test_bethe_singular_root_becomes_failed_entry(monkeypatch):
 
         def poly(roots):
             return BethePolynomial((1,), SectorLabel((1, 1, 0)), 0, 1.0, 0.0,
-                                   roots, 0.0)
+                                   roots)
         return [poly([w, q * q * w]), poly([0.9])]
 
     monkeypatch.setattr(cli, "path_polynomials", strings)

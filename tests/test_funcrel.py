@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from baxq import funcrel, qop
+from baxq import bethe, funcrel, qop
 from baxq.cli import TOLERANCES, RunConfig, run_suite
 from baxq.funcrel import (TransferFromQ, check_direct_vs_q, check_jacobi_trudi,
                           check_master_tq, check_master_tt, check_qq_jacobi,
@@ -189,3 +189,24 @@ def test_relations_fail_exactly_under_mutation(mutation, monkeypatch):
             if (l, n) == (3, 2):
                 expected.discard("unit-q")
         assert failed == expected, (mutation, l, n)
+
+
+def test_one_determinant_feeds_both_suites_under_mutation(monkeypatch):
+    """line_det forms the determinants of the relations and the Bethe
+    polynomials alike: dropping D/s from its entry exponent fails the
+    generalized-Q relations (unit-q, qq-jacobi), every relation built on
+    S^mu, and every Bethe residual, at rank 2 and 3."""
+    orig = qop.line_det
+
+    def no_dress(rows, dress, powers, s, ctx):
+        return orig(rows, [0 * d for d in dress], powers, s, ctx)
+
+    monkeypatch.setattr(qop, "line_det", no_dress)
+    monkeypatch.setattr(bethe, "line_det", no_dress)
+    for l, n in ((2, 2), (3, 2)):
+        report = run_suite(RunConfig(l=l, n=n, suites=("relations", "bethe")))
+        failed = {r["name"] for r in report["relations"] if not r["passed"]}
+        assert failed == SCALAR_SIDE | {"unit-q", "qq-jacobi", "master-tq",
+                                        "master-tt", "t-shift"}, (l, n)
+        residuals = report["bethe"]["residuals"]
+        assert residuals and not any(r["passed"] for r in residuals), (l, n)

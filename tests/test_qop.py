@@ -10,12 +10,12 @@ from baxq.lop import GradingConfig, build_L_a
 from baxq.oscalg import trace_powers
 from baxq.qnum import QContext
 from baxq.qop import (QFamily, SectorLabel, basis_states, dressing_exponent,
-                      horner, load_matrix, op_det, q_prime,
+                      horner, load_matrix, op_det, poly_product, q_prime,
                       save_matrix, sector_of, sectors, state_index)
 
 from conftest import make_setup
 from oracles import (dense_eigenvalue, looped_dressing_exponent,
-                     monodromy_entry)
+                     monodromy_entry, q_lines)
 
 
 def test_state_indexing_row_major():
@@ -49,7 +49,8 @@ def test_operator_is_sector_block_diagonal():
 def test_q_prime_matches_straight_line_monodromy(l, n):
     """The shared-suffix walk multiplies in the same order as
     monodromy_entry on the zeta-free Lax matrix, so every coefficient of
-    every power agrees exactly."""
+    every power agrees exactly; the straight-line reference puts nothing
+    above degree k_a, the bound the stacks are sized to."""
     twist, grading, ctx, fam = make_setup(l, n)
     s = grading.total
     states = basis_states(l, n)
@@ -67,7 +68,9 @@ def test_q_prime_matches_straight_line_monodromy(l, n):
                                                shifts).items():
                         assert p % s == 0
                         ref[p // s, i, j] = val
-            assert np.array_equal(got[label], ref), (a, label)
+            k = label.k[a - 1]
+            assert np.all(ref[k + 1:] == 0), (a, label)
+            assert np.array_equal(got[label], ref[:k + 1]), (a, label)
 
 
 @pytest.mark.parametrize("l,n,s", [(1, 3, (1, 1)), (2, 2, (1, 1, 1)),
@@ -75,8 +78,9 @@ def test_q_prime_matches_straight_line_monodromy(l, n):
                                    (2, 2, (2, 1, 1))])
 def test_horner_matches_numeric_trace(l, n, s):
     """Coefficients evaluated by Horner's rule agree with a trace of the
-    monodromy built at each zeta; each sector block has n+1 coefficients and
-    the straight-line trace puts nothing between sectors."""
+    monodromy built at each zeta; sector k's block has k_a + 1
+    coefficients and the straight-line trace puts nothing between
+    sectors."""
     twist, grading = TwistConfig.default(l), GradingConfig(s)
     ctx = QContext(q=0.7)
     states = basis_states(l, n)
@@ -87,7 +91,8 @@ def test_horner_matches_numeric_trace(l, n, s):
     for a in range(1, l + 2):
         coeffs = q_prime(a, n, twist, grading, ctx)
         for label, idxs in secs.items():
-            assert coeffs[label].shape == (n + 1, len(idxs), len(idxs))
+            assert coeffs[label].shape == (label.k[a - 1] + 1, len(idxs),
+                                           len(idxs))
         signs = module_signs(a, l)
         shifts = twist_diagonal(a, twist)
         for zeta in (0.81, 0.6 + 0.3j):
@@ -108,16 +113,32 @@ def test_horner_matches_numeric_trace(l, n, s):
                                    (3, 2, (1, 1, 1, 1)), (1, 3, (1, 2)),
                                    (2, 2, (2, 1, 1))])
 def test_coefficients_vanish_above_occupation(l, n, s):
-    """On sector k, Q'_a is a polynomial of degree k_a in z: every slice
-    above k_a is exactly zero, and `coefficients` is what q_op evaluates."""
+    """On sector k, Q'_a is a polynomial of degree k_a in z: its stack
+    holds k_a + 1 slices, and `coefficients` is what q_op evaluates."""
     twist, grading = TwistConfig.default(l), GradingConfig(s)
     fam = QFamily(n, twist, grading, QContext(q=0.7))
     for a in range(1, l + 2):
         stacks = fam.coefficients(a)
         for label, c in stacks.items():
-            assert np.all(c[label.k[a - 1] + 1:] == 0), (a, label)
+            m = len(fam.sectors[label])
+            assert c.shape == (label.k[a - 1] + 1, m, m), (a, label)
         fam.q_op(a, 0.5)
         assert fam.coefficients(a) is stacks
+
+
+def test_q_prime_refuses_a_term_above_occupation(monkeypatch):
+    """A trace power above k_a s is refused where the stacks are written,
+    naming the operator and the sector."""
+    twist, grading, ctx, _ = make_setup(2, 2)
+    s = grading.total
+
+    def high(*args):
+        return {**trace_powers(*args), 3 * s: 1.0}
+
+    monkeypatch.setattr(qop, "trace_powers", high)
+    with pytest.raises(ArithmeticError,
+                       match=r"Q'_2 has a z\^3 term on sector \(\d, \d"):
+        q_prime(2, 2, twist, grading, ctx)
 
 
 @pytest.mark.parametrize("l,n,s", [(2, 2, (1, 1, 1)), (3, 2, (1, 1, 1, 1)),
@@ -141,15 +162,14 @@ def test_q_op_matches_dense_assembly(l, n, s):
 @pytest.mark.parametrize("l,n,s", [(1, 3, (1, 2)), (2, 2, (1, 1, 1)),
                                    (3, 2, (1, 1, 1, 1))])
 def test_eigenline_values_are_projected_dense_operators(l, n, s):
-    """q_lines and generalized_q list, sector by sector and then by basis
-    column, the eigenvalues of the dense operators in each sector's basis;
-    c_l is constant on a sector."""
+    """generalized_q lists, sector by sector and then by basis column, the
+    eigenvalues of the dense operators in each sector's basis; c_l is
+    constant on a sector."""
     twist, grading = TwistConfig.default(l), GradingConfig(s)
     fam = QFamily(n, twist, grading, QContext(q=0.7))
     tuples = [(a,) for a in range(1, l + 2)] + [(1, 2), (2, 1)]
     for zeta in (0.55, 0.6 + 0.3j):
         got = {at: fam.generalized_q(at, zeta) for at in tuples}
-        assert np.array_equal(got[(1,)], fam.q_lines(1, zeta))
         line = 0
         for label, idxs in fam.sectors.items():
             for col in range(len(idxs)):
@@ -189,10 +209,12 @@ def test_basis_is_built_once_and_only_on_request(monkeypatch):
 
 
 def test_q_operators_commute():
-    twist, grading, ctx, fam = make_setup(1, 2)
-    a = fam.q_op(1, 0.41)
-    b = fam.q_op(2, 0.78)
-    assert np.max(np.abs(a @ b - b @ a)) < 1e-10
+    for l, n in ((1, 2), (2, 2), (3, 2)):
+        fam = make_setup(l, n)[3]
+        for a in range(1, l + 1):
+            x = fam.q_op(a, 0.41)
+            y = fam.q_op(a + 1, 0.78)
+            assert np.max(np.abs(x @ y - y @ x)) < 1e-10, (l, n, a)
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -225,9 +247,16 @@ def test_dressing_exponent_matches_root_sum(l):
 
 
 def test_generalized_q_reduces_to_single():
-    twist, grading, ctx, fam = make_setup(1, 1)
-    single = fam.generalized_q((1,), 0.53)
-    assert np.max(np.abs(single - fam.q_lines(1, 0.53))) == 0.0
+    """A 1x1 determinant of line_det is Q_a itself, as the per-sector Horner
+    sum of the basis rows gives it."""
+    for l, n in ((1, 1), (2, 2), (3, 2)):
+        fam = make_setup(l, n)[3]
+        for a in range(1, l + 2):
+            for zeta in (0.53, 0.6 + 0.3j):
+                got = fam.generalized_q((a,), zeta)
+                ref = q_lines(fam, a, zeta)
+                err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-14, (l, n, a, zeta, err)
     empty = fam.generalized_q((), 0.53)
     assert np.array_equal(empty, fam.identity())
     assert np.array_equal(empty, np.ones(fam.dim))
@@ -241,11 +270,15 @@ def test_op_det_matches_scalar_determinant():
     det = op_det(blocks, np.matmul)
     assert det[0, 0] == pytest.approx(np.linalg.det(vals))
     assert det[0, 1] == 0.0
-    # With np.convolve as the product, entries are polynomials (ascending
-    # coefficients): (1 + z)(3 - z) - 2z = 3 - z^2.
-    polys = [[np.array([1.0, 1.0]), np.array([2.0, 0.0])],
-             [np.array([0.0, 1.0]), np.array([3.0, -1.0])]]
-    assert np.array_equal(op_det(polys, np.convolve), [3.0, 0.0, -1.0])
+    # With poly_product, entries are polynomials (ascending coefficients),
+    # one column per eigenline: (1 + z)(3 - z) - 2z = 3 - z^2 on the first,
+    # 1 * 1 - 0 = 1 on the second.
+    polys = [[np.array([[1.0, 1.0], [1.0, 0.0]]),
+              np.array([[2.0, 0.0], [0.0, 0.0]])],
+             [np.array([[0.0, 0.0], [1.0, 0.0]]),
+              np.array([[3.0, 1.0], [-1.0, 0.0]])]]
+    assert np.array_equal(op_det(polys, poly_product),
+                          [[3.0, 1.0], [0.0, 0.0], [-1.0, 0.0]])
 
 
 def test_matrix_persistence_roundtrip(tmp_path):
