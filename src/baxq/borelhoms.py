@@ -36,8 +36,8 @@ def twist_diagonal(a: int, twist: TwistConfig) -> list:
 
     The twist pairs t_i = tau_i - tau_{i+1} with the Cartan generators
     through the inverse Cartan matrix.  Its image is prod_k q^{E_k N_k} with
-    E_k = tau_a - tau_{a+k}, colours taken mod l+1; the returned list holds
-    the E_k, for `trace_powers` to add to each mode.
+    E_k = tau_a - tau_{a+k}, colours taken mod l+1.  `trace_product` adds
+    E_k to mode k where the walk pairs its last site (never multiplied).
     """
     tau = twist.tau
     return [tau[a - 1] - tau[(a - 1 + k) % len(tau)]

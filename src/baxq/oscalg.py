@@ -14,14 +14,14 @@ exchange relation
     b bdag = (q q^N - q^{-1} q^{-N}) / (q - q^{-1}),
 
 and graded traces over the level-raising/lowering Fock modules reduce to
-closed-form geometric sums, so no Fock-space truncation is involved.  A
-numeric per-mode exponent shift (the twist) may be applied at the trace, and
-the trace is taken separately for every zeta-power.
+closed-form geometric sums, so no Fock-space truncation is involved.  A trace
+of a product x y is taken without forming it, with a per-mode exponent shift
+(the twist), for every zeta-power apart.  No product drops a nonzero term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .qnum import TOLERANCE, QContext
 
@@ -103,16 +103,6 @@ class OscExpr:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def max_abs(self) -> float:
-        return max((abs(v) for _, v in self.terms), default=0.0)
-
-    def prune(self) -> "OscExpr":
-        """Drop terms below tolerance relative to the largest coefficient."""
-        cut = TOLERANCE * self.max_abs()
-        return OscExpr.from_dict(
-            self.modes, {k: v for k, v in self.terms if abs(v) > cut}
-        )
-
 
 # -- normal ordering -------------------------------------------------------
 
@@ -186,7 +176,7 @@ def multiply(x: OscExpr, y: OscExpr, ctx: QContext) -> OscExpr:
             for key, c in partial:
                 label = (key, p)
                 acc[label] = acc.get(label, 0.0) + c
-    return OscExpr.from_dict(x.modes, acc).prune()
+    return OscExpr.from_dict(x.modes, acc)
 
 
 # -- exact graded traces ---------------------------------------------------
@@ -233,27 +223,36 @@ def _mode_trace(mode: ModeKey, sign: int, shift: float,
     return _TRACE_CACHE[key]
 
 
-def trace_powers(x: OscExpr, signs: Sequence[int], ctx: QContext,
-                 shifts: Optional[Sequence[float]] = None
-                 ) -> Dict[int, complex]:
-    """Graded trace over a product of Fock modules, one sign per mode,
-    taken separately for each zeta-power: {p: trace of the zeta^p part}.
+# Cache of single-mode pair traces, keyed by (q, m1, m2, sign, shift).
+_PAIR_CACHE: dict = {}
 
-    `shifts`, if given, adds a numeric exponent to each mode: the result is
-    the trace of x * prod_k q^{shifts[k-1] N_k}.
-    """
-    if len(signs) != x.modes:
-        raise ValueError("need one module sign per mode")
-    if shifts is None:
-        shifts = (0,) * x.modes
-    elif len(shifts) != x.modes:
-        raise ValueError("need one exponent shift per mode")
+
+def _pair_trace(m1: ModeKey, m2: ModeKey, sign: int, shift: float,
+                ctx: QContext) -> complex:
+    """Graded trace of the single-mode product m1 m2 q^{shift N}."""
+    key = (ctx.q, m1, m2, sign, shift)
+    hit = _PAIR_CACHE.get(key)
+    if hit is None:
+        hit = _PAIR_CACHE[key] = sum(c * _mode_trace(mk, sign, shift, ctx)
+                                     for mk, c in _mode_product(m1, m2, ctx))
+    return hit
+
+
+def trace_product(x: OscExpr, y: OscExpr, signs: Sequence[int], ctx: QContext,
+                  shifts: Sequence[float]) -> Dict[int, complex]:
+    """Graded trace of x * y * prod_k q^{shifts[k-1] N_k}, one module sign
+    per mode, for each zeta-power: {p: trace of the zeta^p part}.  x * y is
+    never formed: two monomials trace to a product of single-mode pairs."""
+    if not x.modes == y.modes == len(signs) == len(shifts):
+        raise ValueError("factors, signs and shifts need one entry per mode")
     out: Dict[int, complex] = {}
-    for (key, p), c in x.terms:
-        val = c
-        for mode, s, sh in zip(key, signs, shifts):
-            val *= _mode_trace(mode, s, sh, ctx)
-            if val == 0:
-                break
-        out[p] = out.get(p, 0j) + val
+    for (kx, px), cx in x.terms:
+        for (ky, py), cy in y.terms:
+            val = cx * cy
+            for mx, my, s, sh in zip(kx, ky, signs, shifts):
+                val *= _pair_trace(mx, my, s, sh, ctx)
+                if val == 0:
+                    break
+            else:
+                out[px + py] = out.get(px + py, 0j) + val
     return out

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-# Relative threshold for pruning and pole screens.
+# Pole screen of the trace, `normalization` and `QFamily.c_l`.
 TOLERANCE = 1e-12
 
 

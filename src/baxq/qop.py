@@ -32,7 +32,7 @@ import numpy as np
 
 from .borelhoms import TwistConfig, module_signs, twist_diagonal
 from .lop import GradingConfig, build_L_a
-from .oscalg import multiply, trace_powers
+from .oscalg import OscExpr, multiply, trace_product
 from .qnum import TOLERANCE, QContext, relative
 
 # Each sector's basis diagonalizes sum_a GAMMA^(a-1) Q'_a(z_a), z_a = zeta^s
@@ -98,41 +98,42 @@ def _walk(site: int, expr, row: int, col: int, weight: int, excess: list,
     suffix.
 
     `expr` is the monodromy product over sites site+1..n-1 (None before the
-    first), `row`/`col` their partial state indices and `excess` the row
-    minus column occupation counts so far.  Each site can cancel at most two
-    units of excess, so a branch stops once the remaining sites cannot make
-    row and column one sector, or once the product vanishes.  `env` holds
-    (a, Lax entries, sector stacks, sector of each state, position of each
-    state in its sector, module signs, twist shifts, s, context).
+    first, the unit if n = 1), `row`/`col` their partial state indices and
+    `excess` the row minus column occupation counts so far.  Each site can
+    cancel at most two units of excess, so a branch stops once the remaining
+    sites cannot make row and column one sector, or once the product
+    vanishes; site 0 is paired with `expr` in the trace, never multiplied.
+    `env` holds (a, Lax entries, sector stacks, sector of each state, position
+    of each state in its sector, module signs, twist shifts, s, context).
     """
     a, entries, blocks, block_of, pos, signs, shifts, s, ctx = env
     dim = len(entries)
     for i in range(dim):
         excess[i] += 1
         for j in range(dim):
-            factor = entries[i][j]
-            if not factor.terms:
+            lax = entries[i][j]
+            if not lax.terms:
                 continue
             excess[j] -= 1
             if sum(map(abs, excess)) <= 2 * site:
-                prod = factor if expr is None else multiply(expr, factor, ctx)
-                if prod.terms:
-                    r, c = row + i * weight, col + j * weight
-                    if site == 0:
-                        # A Lax term in entry (i, j) has zeta-power
-                        # phi(i) - phi(j) mod s for one fixed phi, so the
-                        # powers of an in-sector pair are multiples of s.
-                        label = block_of[r]
-                        blk = blocks[label]
-                        for p, val in trace_powers(prod, signs, ctx,
-                                                   shifts).items():
-                            if p // s >= len(blk):
-                                raise ArithmeticError(
-                                    "Q'_%d has a z^%d term on sector %s, "
-                                    "above its degree %d"
-                                    % (a, p // s, label.k, len(blk) - 1))
-                            blk[p // s, pos[r], pos[c]] = val
-                    else:
+                r, c = row + i * weight, col + j * weight
+                if site == 0:
+                    # A Lax term in entry (i, j) has zeta-power
+                    # phi(i) - phi(j) mod s for one fixed phi, so the
+                    # powers of an in-sector pair are multiples of s.
+                    label = block_of[r]
+                    blk = blocks[label]
+                    for p, val in trace_product(expr, lax, signs, ctx,
+                                                shifts).items():
+                        if p // s >= len(blk):
+                            raise ArithmeticError(
+                                "Q'_%d has a z^%d term on sector %s, "
+                                "above its degree %d"
+                                % (a, p // s, label.k, len(blk) - 1))
+                        blk[p // s, pos[r], pos[c]] = val
+                else:
+                    prod = lax if expr is None else multiply(expr, lax, ctx)
+                    if prod.terms:
                         _walk(site - 1, prod, r, c, weight * dim, excess, env)
             excess[j] += 1
         excess[i] -= 1
@@ -147,8 +148,8 @@ def q_prime(a: int, n: int, twist: TwistConfig, grading: GradingConfig,
     sector k, a (k_a+1, m, m) array whose j-th slice multiplies z^j (rows
     and columns in the order of `sectors`); a term above degree k_a raises
     ArithmeticError.  Entry (i, j) of the monodromy is
-    L_{i_n j_n} ... L_{i_1 j_1}, formed left to right; pairs of states that
-    share their last sites share the partial products over those sites.
+    L_{i_n j_n} ... L_{i_1 j_1}: sites n..2 multiplied left to right, shared
+    by states that agree there, and site 1 paired with them in the trace.
     """
     l = grading.l
     lop = build_L_a(a, None, grading, ctx)
@@ -158,7 +159,7 @@ def q_prime(a: int, n: int, twist: TwistConfig, grading: GradingConfig,
                                  dtype=complex)
         for p, idx in enumerate(idxs):
             block_of[idx], pos[idx] = label, p
-    _walk(n - 1, None, 0, 0, 1, [0] * (l + 1),
+    _walk(n - 1, OscExpr.one(l) if n == 1 else None, 0, 0, 1, [0] * (l + 1),
           (a, lop.entries, blocks, block_of, pos, module_signs(a, l),
            twist_diagonal(a, twist), grading.total, ctx))
     return blocks

@@ -9,7 +9,7 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from baxq.bethe import BethePolynomial, _leveled_ratio
 from baxq.lop import GradingConfig, LOperator, _zero_matrix, build_L
 from baxq.lweight import (FactorRatio, _shifted_product, _vacuum,
                           conjectured_xi, highest_lweight, weight_shift)
-from baxq.oscalg import ModeKey, OscExpr, multiply
+from baxq.oscalg import ModeKey, OscExpr, _mode_trace, multiply
 from baxq.qnum import TOLERANCE, QContext
 from baxq.qop import QFamily, dressing_exponent, horner, op_det
 
@@ -181,7 +181,40 @@ def conjugated_L_a(a, zeta, grading, ctx):
     return LOperator(l, zeta, grading, ent)
 
 
-# -- truncated Fock traces, the reference for `trace_powers` ---------------
+# -- straight-line traces, the reference for `trace_product` --------------
+
+def trace_powers(x: OscExpr, signs: Sequence[int], ctx: QContext,
+                 shifts: Optional[Sequence[float]] = None
+                 ) -> Dict[int, complex]:
+    """Graded trace over a product of Fock modules, one sign per mode,
+    taken separately for each zeta-power: {p: trace of the zeta^p part}.
+
+    `shifts`, if given, adds a numeric exponent to each mode: the result is
+    the trace of x * prod_k q^{shifts[k-1] N_k}.
+    """
+    if len(signs) != x.modes:
+        raise ValueError("need one module sign per mode")
+    if shifts is None:
+        shifts = (0,) * x.modes
+    elif len(shifts) != x.modes:
+        raise ValueError("need one exponent shift per mode")
+    out: Dict[int, complex] = {}
+    for (key, p), c in x.terms:
+        val = c
+        for mode, s, sh in zip(key, signs, shifts):
+            val *= _mode_trace(mode, s, sh, ctx)
+            if val == 0:
+                break
+        out[p] = out.get(p, 0j) + val
+    return out
+
+
+def max_abs(x: OscExpr) -> float:
+    """Largest coefficient magnitude of an expression (0 when empty)."""
+    return max((abs(v) for _, v in x.terms), default=0.0)
+
+
+# -- truncated Fock traces, the reference for `trace_product` --------------
 
 @dataclass(frozen=True)
 class TruncatedFock:
@@ -384,7 +417,7 @@ def max_entry_difference(a: LOperator, b: LOperator, ctx: QContext) -> float:
     for i in range(a.l + 1):
         for j in range(a.l + 1):
             diff = a.entries[i][j] - b.entries[i][j]
-            worst = max(worst, diff.prune().max_abs())
+            worst = max(worst, max_abs(diff))
     return worst
 
 

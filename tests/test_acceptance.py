@@ -19,14 +19,14 @@ from baxq.funcrel import (TransferFromQ, check_direct_vs_q,
 from baxq.fundrep import yang_baxter_residual
 from baxq.lop import GradingConfig, build_L
 from baxq.lweight import conjectured_xi
-from baxq.oscalg import trace_powers
+from baxq.oscalg import OscExpr, trace_product
 from baxq.qnum import QContext
 from baxq.qop import SectorLabel
 
 from conftest import make_setup
 from oracles import (TruncatedFock, build_L_factored_oracle,
                      max_entry_difference, sampled_shifted_product,
-                     truncated_trace)
+                     trace_powers, truncated_trace)
 from test_oscalg import random_balanced_expr
 
 TOL = TOLERANCES["relations"]
@@ -61,8 +61,9 @@ def test_criterion_02_trace_engine():
         t80 = truncated_trace(expr, [TruncatedFock(80, sign, ctx)] * 2)
         scale = max(1.0, abs(t80))
         assert abs(t80 - t40) < 1e-10 * scale  # cutoffs agree first
-        exact = trace_powers(expr, signs, ctx)[0]
+        exact = trace_product(OscExpr.one(2), expr, signs, ctx, (0, 0))[0]
         assert abs(exact - t80) < 1e-10 * scale
+        assert exact == trace_powers(expr, signs, ctx)[0]
 
 
 @pytest.mark.parametrize("l,n", [(1, 3), (2, 2), (3, 1)])

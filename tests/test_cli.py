@@ -214,6 +214,21 @@ def test_small_q_and_graded_jacobi_trudi_is_measured(config):
     assert "reason" not in jt
 
 
+def test_small_q_edge_chain_measures_every_q_side_entry():
+    """At q = 0.1 on (2,5) products keep their smallest terms, so every
+    sector basis forms: each relation and Bethe residual is measured and
+    passes."""
+    report = run_suite(RunConfig(l=2, n=5, q=0.1, seed=0))
+    assert report["passed"]
+    json.dumps(report, allow_nan=False)
+    assert all(r["residual"] is not None and r["passed"]
+               for r in report["relations"])
+    bethe = report["bethe"]
+    assert bethe["failures"] == [] and bethe["residuals"]
+    assert all(r["residual"] is not None and r["passed"]
+               for r in bethe["residuals"])
+
+
 def test_jacobi_trudi_at_a_normalization_zero_fails_only_that_entry():
     """At q = 0.35^2 a factor of t_hat's normalization vanishes exactly at
     the sampled zeta = 0.35: the Jacobi-Trudi entry alone fails, with no

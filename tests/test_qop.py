@@ -4,10 +4,10 @@ import cmath
 import numpy as np
 import pytest
 
-from baxq import qop
+from baxq import oscalg, qop
 from baxq.borelhoms import TwistConfig, module_signs, twist_diagonal
 from baxq.lop import GradingConfig, build_L_a
-from baxq.oscalg import trace_powers
+from baxq.oscalg import OscExpr, trace_product
 from baxq.qnum import QContext
 from baxq.qop import (QFamily, SectorLabel, basis_states, dressing_exponent,
                       horner, load_matrix, op_det, poly_product, q_prime,
@@ -15,7 +15,7 @@ from baxq.qop import (QFamily, SectorLabel, basis_states, dressing_exponent,
 
 from conftest import make_setup
 from oracles import (dense_eigenvalue, looped_dressing_exponent,
-                     monodromy_entry, q_lines)
+                     monodromy_entry, q_lines, trace_powers)
 
 
 def test_state_indexing_row_major():
@@ -45,12 +45,13 @@ def test_operator_is_sector_block_diagonal():
     assert np.max(np.abs(mat[~mask])) == 0.0
 
 
-@pytest.mark.parametrize("l,n", [(1, 3), (2, 2), (3, 2)])
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 2), (3, 2), (4, 1)])
 def test_q_prime_matches_straight_line_monodromy(l, n):
-    """The shared-suffix walk multiplies in the same order as
-    monodromy_entry on the zeta-free Lax matrix, so every coefficient of
-    every power agrees exactly; the straight-line reference puts nothing
-    above degree k_a, the bound the stacks are sized to."""
+    """The shared-suffix walk multiplies sites n..2 in the same order as
+    monodromy_entry on the zeta-free Lax matrix and pairs the result with
+    the site-1 entry in the trace, so every coefficient of every power
+    agrees exactly; the straight-line reference puts nothing above degree
+    k_a, the bound the stacks are sized to."""
     twist, grading, ctx, fam = make_setup(l, n)
     s = grading.total
     states = basis_states(l, n)
@@ -63,9 +64,12 @@ def test_q_prime_matches_straight_line_monodromy(l, n):
             ref = np.zeros((n + 1, len(members), len(members)), dtype=complex)
             for i, row in enumerate(members):
                 for j, col in enumerate(members):
-                    expr = monodromy_entry(lop, states[row], states[col], ctx)
-                    for p, val in trace_powers(expr, signs, ctx,
-                                               shifts).items():
+                    row_st, col_st = states[row], states[col]
+                    suffix = (monodromy_entry(lop, row_st[1:], col_st[1:], ctx)
+                              if n > 1 else OscExpr.one(l))
+                    last = lop.entry(row_st[0], col_st[0])
+                    for p, val in trace_product(suffix, last, signs, ctx,
+                                                shifts).items():
                         assert p % s == 0
                         ref[p // s, i, j] = val
             k = label.k[a - 1]
@@ -133,12 +137,33 @@ def test_q_prime_refuses_a_term_above_occupation(monkeypatch):
     s = grading.total
 
     def high(*args):
-        return {**trace_powers(*args), 3 * s: 1.0}
+        return {**trace_product(*args), 3 * s: 1.0}
 
-    monkeypatch.setattr(qop, "trace_powers", high)
+    monkeypatch.setattr(qop, "trace_product", high)
     with pytest.raises(ArithmeticError,
                        match=r"Q'_2 has a z\^3 term on sector \(\d, \d"):
         q_prime(2, 2, twist, grading, ctx)
+
+
+def test_q_prime_cache_keys_are_complete():
+    """Builds that follow builds at another q, twist or realization in one
+    process equal, bit for bit, builds made after clearing every module
+    cache of `oscalg`.  The second twist has tau_2 - tau_1 = tau_1 - tau_3,
+    so Q'_1 and Q'_2 trace one mode with one shift on opposite module
+    types."""
+    grading = GradingConfig.principal(2)
+    first, other = TwistConfig.default(2), TwistConfig((0.2, 0.9, -0.5))
+    builds = [(1, 0.7, first), (1, 0.5, first), (1, 0.7, first),
+              (1, 0.7, other), (2, 0.7, other)]
+    for a, q, twist in builds:
+        ctx = QContext(q=q)
+        got = q_prime(a, 2, twist, grading, ctx)
+        for name in dir(oscalg):
+            if name.endswith("_CACHE"):
+                getattr(oscalg, name).clear()
+        ref = q_prime(a, 2, twist, grading, ctx)
+        for label in ref:
+            assert np.array_equal(got[label], ref[label]), (a, q, label)
 
 
 @pytest.mark.parametrize("l,n,s", [(2, 2, (1, 1, 1)), (3, 2, (1, 1, 1, 1)),
